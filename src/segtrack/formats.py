@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -366,8 +367,53 @@ def write_coco(ds: CocoDataset) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
+_REQUIRED = object()
+
+
+def _field(raw: dict, key: str, convert, where: str, default=_REQUIRED):
+    """``convert(raw[key])``, or ``default`` for an absent optional field.
+
+    A missing required field or a value ``convert`` rejects raises a
+    :class:`SchemaError` naming the record ``where``.
+    """
+    if key not in raw:
+        if default is _REQUIRED:
+            raise SchemaError(f"{where}: missing field {key!r}")
+        return default
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{where}: invalid {key}: {e}") from None
+    except SegtrackError as e:
+        raise type(e)(f"{where}: {e}") from e
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
+def _bbox(value) -> BoundingBox:
+    return BoundingBox(*(float(v) for v in value))
+
+
+def _records(doc: dict, section: str, kind: str):
+    """``(where, raw)`` for each record of the list ``doc[section]``; records must be objects."""
+    records = doc.get(section, [])
+    if not isinstance(records, list):
+        raise SchemaError(f"{section} must be a list")
+    for i, raw in enumerate(records):
+        where = f"{kind} {i}"
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{where}: record must be an object")
+        yield where, raw
+
+
 def read_coco(data: bytes | str) -> CocoDataset:
-    """Parse and referentially validate a COCO dataset."""
+    """Parse and referentially validate a COCO dataset.
+
+    A malformed record raises a :class:`SchemaError` that names it by
+    section and position, e.g. ``annotation 3: missing field 'id'``.
+    """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
         doc = json.loads(text)
@@ -377,36 +423,35 @@ def read_coco(data: bytes | str) -> CocoDataset:
         raise SchemaError("top-level value must be an object")
 
     ds = CocoDataset()
-    for raw in doc.get("categories", []):
-        ds.categories.append(CocoCategory(id=int(raw["id"]), name=str(raw["name"])))
-    for raw in doc.get("images", []):
+    for where, raw in _records(doc, "categories", "category"):
+        ds.categories.append(CocoCategory(id=_field(raw, "id", int, where), name=_field(raw, "name", str, where)))
+    for where, raw in _records(doc, "images", "image"):
         ds.images.append(
             CocoImage(
-                id=int(raw["id"]),
-                file_name=str(raw["file_name"]),
-                height=int(raw["height"]),
-                width=int(raw["width"]),
-                frame_index=int(raw["frame_index"]) if raw.get("frame_index") is not None else None,
+                id=_field(raw, "id", int, where),
+                file_name=_field(raw, "file_name", str, where),
+                height=_field(raw, "height", int, where),
+                width=_field(raw, "width", int, where),
+                frame_index=_field(raw, "frame_index", _optional_int, where, None),
             )
         )
-    for raw in doc.get("annotations", []):
-        bbox = raw.get("bbox", [0, 0, 0, 0])
+    for where, raw in _records(doc, "annotations", "annotation"):
         ds.annotations.append(
             CocoAnnotation(
-                id=int(raw["id"]),
-                image_id=int(raw["image_id"]),
-                category_id=int(raw["category_id"]),
-                segmentation=decode_segmentation(raw["segmentation"]),
-                bbox=BoundingBox(*(float(v) for v in bbox)),
-                area=float(raw.get("area", 0.0)),
-                iscrowd=int(raw.get("iscrowd", 0)),
+                id=_field(raw, "id", int, where),
+                image_id=_field(raw, "image_id", int, where),
+                category_id=_field(raw, "category_id", int, where),
+                segmentation=_field(raw, "segmentation", decode_segmentation, where),
+                bbox=_field(raw, "bbox", _bbox, where, BoundingBox(0.0, 0.0, 0.0, 0.0)),
+                area=_field(raw, "area", float, where, 0.0),
+                iscrowd=_field(raw, "iscrowd", int, where, 0),
             )
         )
 
     problems = []
     for name, items in (("image", ds.images), ("annotation", ds.annotations), ("category", ds.categories)):
-        ids = [it.id for it in items]
-        dup = sorted({i for i in ids if ids.count(i) > 1})
+        counts = Counter(it.id for it in items)
+        dup = sorted(i for i, n in counts.items() if n > 1)
         if dup:
             problems.append(f"duplicate {name} ids {dup}")
     image_ids = {img.id for img in ds.images}
@@ -454,29 +499,25 @@ def parse_predictions(stream: bytes | str | Iterable[str]) -> list[DetectionReco
         missing = [k for k in _PREDICTION_KEYS if k not in raw]
         if missing:
             raise SchemaError(f"line {lineno}: missing fields {missing}")
-        if not isinstance(raw["frame"], int) or raw["frame"] < 0:
+        frame = raw["frame"]
+        if isinstance(frame, bool) or not isinstance(frame, int) or frame < 0:
             raise SchemaError(f"line {lineno}: frame must be a non-negative integer")
         if not isinstance(raw["label"], str) or not raw["label"]:
             raise SchemaError(f"line {lineno}: label must be a non-empty string")
         score = raw["score"]
-        if not isinstance(score, (int, float)):
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
             raise SchemaError(f"line {lineno}: score must be a number")
         if not 0.0 <= score <= 1.0:
             raise OutOfRangeError(f"line {lineno}: score {score} outside [0, 1]")
-        bbox = raw["bbox"]
-        if not (isinstance(bbox, list) and len(bbox) == 4):
+        if not (isinstance(raw["bbox"], list) and len(raw["bbox"]) == 4):
             raise SchemaError(f"line {lineno}: bbox must be [x, y, w, h]")
-        try:
-            seg = decode_segmentation(raw["segmentation"])
-        except SegtrackError as e:
-            raise type(e)(f"line {lineno}: {e}") from e
         records.append(
             DetectionRecord(
-                frame=raw["frame"],
+                frame=frame,
                 label=raw["label"],
                 score=float(score),
-                segmentation=seg,
-                bbox=BoundingBox(*(float(v) for v in bbox)),
+                segmentation=_field(raw, "segmentation", decode_segmentation, f"line {lineno}"),
+                bbox=_field(raw, "bbox", _bbox, f"line {lineno}"),
             )
         )
     return records

@@ -11,7 +11,16 @@ order and always start with the length of the leading zero run
 Rasterization uses the even-odd rule tested at pixel centers with a
 half-open boundary convention: a center lying exactly on a left/top
 edge is inside, on a right/bottom edge outside, so adjacent polygons
-never claim the same pixel twice.
+never claim the same pixel twice.  A ring is first cut into per-row
+fill spans in frame coordinates, clipped to the frame; the spans are
+then filled into a grid.
+
+The IoU of a polygon and a mask is computed inside the mask's frame
+over the polygon's own clipped window: its spans are filled into a grid
+just large enough for them, by shifting integer row and column indices
+only, and only the window's columns of the mask are decoded.  Polygon
+pixels outside the frame do not count.  The result equals a comparison
+of the two full-frame renderings exactly.
 
 All functions are pure; nothing here holds global state, so every
 operation is safe to call from concurrent threads.
@@ -19,6 +28,8 @@ operation is safe to call from concurrent threads.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -72,7 +83,8 @@ class Polygon:
 
     def as_array(self) -> np.ndarray:
         """Vertices as an ``(n, 2)`` float64 array."""
-        return np.asarray(self.points, dtype=np.float64)
+        flat = itertools.chain.from_iterable(self.points)
+        return np.fromiter(flat, dtype=np.float64, count=2 * len(self.points)).reshape(-1, 2)
 
     def translated(self, dx: float, dy: float) -> "Polygon":
         return Polygon(tuple(Point(p.x + dx, p.y + dy) for p in self.points))
@@ -198,6 +210,55 @@ def has_self_intersection(p: Polygon) -> bool:
 # rasterization
 
 
+def _ring_spans(p: Polygon, height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill spans ``(rows, c0, c1)`` of a ring on a ``(height, width)`` grid.
+
+    Span ``k`` covers columns ``c0[k]..c1[k]`` (inclusive) of row
+    ``rows[k]``; every span is non-empty and clipped to the grid, and
+    the spans of one row never overlap.  The pixel rule is that of
+    :func:`rasterize`.
+    """
+    pts = p.as_array()
+    nxt = np.concatenate((pts[1:], pts[:1]))
+    x1, y1, x2, y2 = pts[:, 0], pts[:, 1], nxt[:, 0], nxt[:, 1]
+    lo = np.minimum(y1, y2)
+    hi = np.maximum(y1, y2)
+    r0 = max(0, math.ceil(float(lo.min()) - 0.5))
+    r1 = min(height - 1, math.ceil(float(hi.max()) - 0.5) - 1)
+    if r0 > r1:
+        none = np.empty(0, dtype=np.int64)
+        return none, none, none
+
+    ys = (np.arange(r0, r1 + 1, dtype=np.float64) + 0.5)[:, None]
+    sel = (lo <= ys) & (ys < hi)  # never true on a horizontal edge
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        xs = np.where(sel, x1 + (ys - y1) * (x2 - x1) / (y2 - y1), np.nan)
+    xs.sort(axis=1)  # NaN sorts last, leaving crossing pairs up front
+    # each row crosses the closed ring an even number of times, so with
+    # an odd edge count the last slot is always NaN and pairs with nothing
+    n_pairs = xs.shape[1] // 2
+    xa = xs[:, 0:2 * n_pairs:2]
+    xb = xs[:, 1:2 * n_pairs:2]
+    valid = ~np.isnan(xb)
+    rows = np.nonzero(valid)[0] + r0
+    # clamp to just outside the grid so infinite crossings from
+    # near-degenerate edges cast cleanly; pairing is unaffected
+    xa = np.minimum(np.maximum(xa[valid], -1.0), width + 1.0)
+    xb = np.minimum(np.maximum(xb[valid], -1.0), width + 1.0)
+    c0 = np.maximum(np.ceil(xa - 0.5).astype(np.int64), 0)
+    c1 = np.minimum(np.ceil(xb - 0.5).astype(np.int64) - 1, width - 1)
+    ok = c0 <= c1
+    return rows[ok], c0[ok], c1[ok]
+
+
+def _fill_spans(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray, height: int, width: int) -> np.ndarray:
+    """``(height, width)`` grid with the pixels of every span set; overlapping spans unite."""
+    grid = np.zeros((height, width), dtype=bool)
+    for r, a, b in zip(rows.tolist(), c0.tolist(), c1.tolist()):
+        grid[r, a:b + 1] = True
+    return grid
+
+
 def rasterize(p: Polygon, height: int, width: int) -> np.ndarray:
     """Fill a ring onto a ``(height, width)`` grid.
 
@@ -208,55 +269,7 @@ def rasterize(p: Polygon, height: int, width: int) -> np.ndarray:
     """
     if height <= 0 or width <= 0:
         raise ValueError(f"grid dimensions must be positive, got {height}x{width}")
-    mask = np.zeros((height, width), dtype=bool)
-    pts = p.as_array()
-    x1, y1 = pts[:, 0], pts[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    keep = y1 != y2  # horizontal edges never cross a scanline
-    if not keep.any():
-        return mask
-    x1, y1, x2, y2 = x1[keep], y1[keep], x2[keep], y2[keep]
-
-    ymin = float(min(y1.min(), y2.min()))
-    ymax = float(max(y1.max(), y2.max()))
-    r0 = max(0, math.ceil(ymin - 0.5))
-    r1 = min(height - 1, math.ceil(ymax - 0.5) - 1)
-    if r0 > r1:
-        return mask
-
-    ys = (np.arange(r0, r1 + 1, dtype=np.float64) + 0.5)[:, None]
-    lo = np.minimum(y1, y2)[None, :]
-    hi = np.maximum(y1, y2)[None, :]
-    sel = (lo <= ys) & (ys < hi)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        xs = np.where(sel, x1[None, :] + (ys - y1[None, :]) * (x2 - x1)[None, :] / (y2 - y1)[None, :], np.nan)
-    xs.sort(axis=1)  # NaN sorts last, leaving crossing pairs up front
-    if xs.shape[1] % 2 == 1:  # crossing parity is even; a lone odd slot is NaN
-        xs = np.pad(xs, ((0, 0), (0, 1)), constant_values=np.nan)
-
-    xa = xs[:, 0::2]
-    xb = xs[:, 1::2]
-    valid = ~np.isnan(xb)
-    if not valid.any():
-        return mask
-    # clamp to just outside the grid so infinite crossings from
-    # near-degenerate edges cast cleanly; pairing is unaffected
-    xa_f = np.clip(np.where(valid, xa, 0.0), -1.0, width + 1.0)
-    xb_f = np.clip(np.where(valid, xb, 0.0), -1.0, width + 1.0)
-    c0 = np.ceil(xa_f - 0.5).astype(np.int64)
-    c1 = np.ceil(xb_f - 0.5).astype(np.int64) - 1
-    c0 = np.maximum(c0, 0)
-    c1 = np.minimum(c1, width - 1)
-    rows = np.broadcast_to(np.arange(r0, r1 + 1)[:, None], xa.shape)
-    ok = valid & (c0 <= c1)
-    if not ok.any():
-        return mask
-    # even-odd spans never overlap within a row, so a +1/-1 difference
-    # array followed by a cumulative sum marks exactly the filled pixels
-    diff = np.zeros((height, width + 1), dtype=np.int32)
-    np.add.at(diff, (rows[ok], c0[ok]), 1)
-    np.add.at(diff, (rows[ok], c1[ok] + 1), -1)
-    return np.cumsum(diff, axis=1)[:, :width] > 0
+    return _fill_spans(*_ring_spans(p, height, width), height, width)
 
 
 # ---------------------------------------------------------------------------
@@ -719,17 +732,38 @@ def segmentation_bbox(seg: Segmentation) -> BoundingBox:
     return BoundingBox(x0, y0, x1 - x0, y1 - y0)
 
 
-def _seg_to_window(seg: Segmentation, x0: int, y0: int, h: int, w: int) -> np.ndarray:
-    """Dense rendering of a segmentation inside an integer-offset window."""
-    if isinstance(seg, RleMask):
-        dense = rle_to_mask(seg)
-        win = np.zeros((h, w), dtype=bool)
-        r0, c0 = max(0, y0), max(0, x0)
-        r1, c1 = min(seg.height, y0 + h), min(seg.width, x0 + w)
-        if r1 > r0 and c1 > c0:
-            win[r0 - y0:r1 - y0, c0 - x0:c1 - x0] = dense[r0:r1, c0:c1]
-        return win
-    rings = (seg,) if isinstance(seg, Polygon) else tuple(seg)
+def _rings(seg: Segmentation) -> tuple[Polygon, ...]:
+    return (seg,) if isinstance(seg, Polygon) else tuple(seg)
+
+
+def _rle_columns(r: RleMask, c_lo: int, c_hi: int) -> np.ndarray:
+    """Dense ``(height, c_hi - c_lo)`` decoding of columns ``c_lo..c_hi - 1`` alone."""
+    lo, hi = c_lo * r.height, c_hi * r.height
+    starts, ends = _one_runs(r)
+    i0 = bisect.bisect_right(ends, lo)  # one-runs ending at or before lo miss the window
+    i1 = bisect.bisect_left(starts, hi)
+    flat = np.zeros(hi - lo, dtype=bool)
+    for s, e in zip(starts[i0:i1], ends[i0:i1]):
+        flat[max(s - lo, 0):e - lo] = True
+    return flat.reshape((r.height, c_hi - c_lo), order="F")
+
+
+def _polygon_rle_iou(rings: tuple[Polygon, ...], r: RleMask) -> float:
+    """IoU of the union of ``rings`` and a mask, over the rings' clipped window."""
+    spans = [_ring_spans(ring, r.height, r.width) for ring in rings]
+    if not any(rows.size for rows, _, _ in spans):  # no polygon pixel inside the frame
+        return 0.0
+    rows, c0, c1 = (np.concatenate(part) for part in zip(*spans))
+    r_lo, r_hi = int(rows.min()), int(rows.max()) + 1
+    c_lo, c_hi = int(c0.min()), int(c1.max()) + 1
+    poly = _fill_spans(rows - r_lo, c0 - c_lo, c1 - c_lo, r_hi - r_lo, c_hi - c_lo)
+    mask = _rle_columns(r, c_lo, c_hi)[r_lo:r_hi]
+    inter = int(np.count_nonzero(poly & mask))
+    return inter / (int(np.count_nonzero(poly)) + rle_area(r) - inter)
+
+
+def _rings_to_window(rings: tuple[Polygon, ...], x0: int, y0: int, h: int, w: int) -> np.ndarray:
+    """Dense rendering of the union of rings inside an integer-offset window."""
     win = np.zeros((h, w), dtype=bool)
     for ring in rings:
         win |= rasterize(ring.translated(-x0, -y0), h, w)
@@ -739,24 +773,29 @@ def _seg_to_window(seg: Segmentation, x0: int, y0: int, h: int, w: int) -> np.nd
 def segmentation_iou(a: Segmentation, b: Segmentation) -> float:
     """Pixel-exact IoU between any two segmentation forms.
 
-    Polygon inputs are rasterized onto a shared integer-offset window
-    covering both shapes, which preserves the pixel-center rule exactly.
+    Two masks are compared run against run.  A polygon and a mask are
+    compared inside the mask's frame, over the window of the polygon's
+    own pixels clipped to that frame: polygon pixels outside the frame
+    do not count, and only the window's columns of the mask are
+    decoded.  Two polygons are rasterized onto a shared integer-offset
+    window covering both shapes, which preserves the pixel-center rule
+    exactly.
     """
     if isinstance(a, RleMask) and isinstance(b, RleMask):
         return rle_iou(a, b)
-    if isinstance(a, RleMask) or isinstance(b, RleMask):
-        rle = a if isinstance(a, RleMask) else b
-        x0, y0, h, w = 0, 0, rle.height, rle.width
-    else:
-        ba = segmentation_bbox(a)
-        bb = segmentation_bbox(b)
-        x0 = math.floor(min(ba.x, bb.x)) - 1
-        y0 = math.floor(min(ba.y, bb.y)) - 1
-        x1 = math.ceil(max(ba.x + ba.w, bb.x + bb.w)) + 1
-        y1 = math.ceil(max(ba.y + ba.h, bb.y + bb.h)) + 1
-        h, w = max(1, y1 - y0), max(1, x1 - x0)
-    ma = _seg_to_window(a, x0, y0, h, w)
-    mb = _seg_to_window(b, x0, y0, h, w)
+    if isinstance(a, RleMask):
+        return _polygon_rle_iou(_rings(b), a)
+    if isinstance(b, RleMask):
+        return _polygon_rle_iou(_rings(a), b)
+    ba = segmentation_bbox(a)
+    bb = segmentation_bbox(b)
+    x0 = math.floor(min(ba.x, bb.x)) - 1
+    y0 = math.floor(min(ba.y, bb.y)) - 1
+    x1 = math.ceil(max(ba.x + ba.w, bb.x + bb.w)) + 1
+    y1 = math.ceil(max(ba.y + ba.h, bb.y + bb.h)) + 1
+    h, w = max(1, y1 - y0), max(1, x1 - x0)
+    ma = _rings_to_window(_rings(a), x0, y0, h, w)
+    mb = _rings_to_window(_rings(b), x0, y0, h, w)
     inter = int(np.count_nonzero(ma & mb))
     union = int(np.count_nonzero(ma | mb))
     return inter / union if union else 0.0

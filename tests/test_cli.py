@@ -198,3 +198,24 @@ def test_track_interpolation_flag(tmp_path):
     n_interp = filled.read_text().count(",true\n")
     assert n_interp > 0
     assert with_gaps.read_text().count(",true\n") == 0
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda ann: ann.pop("id"), "annotation 0: missing field 'id'"),
+        (lambda ann: ann.update(image_id="first"), "annotation 0: invalid image_id: "),
+    ],
+)
+def test_eval_coco_malformed_gt_is_domain_error(tmp_path, capsys, edit, message):
+    gt = tmp_path / "coco.json"
+    assert run(["convert", "--labelme-dir", write_labelme_dir(tmp_path), "--out", gt]) == 0
+    doc = json.loads(gt.read_text())
+    edit(doc["annotations"][0])
+    gt.write_text(json.dumps(doc))
+    pred = tmp_path / "preds.jsonl"
+    pred.write_text(json.dumps({"frame": 0, "label": "vole_1", "score": 0.9, "bbox": [10, 10, 20, 20],
+                                "segmentation": [[10, 10, 30, 10, 30, 30, 10, 30]]}) + "\n")
+    capsys.readouterr()
+    assert run(["eval-coco", "--gt", gt, "--pred", pred]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {gt}: {message}")

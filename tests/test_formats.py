@@ -7,6 +7,7 @@ import pytest
 
 from segtrack.errors import (
     ConflictError,
+    CorruptRleError,
     IntegrityError,
     OutOfRangeError,
     ParseError,
@@ -345,6 +346,55 @@ def test_coco_duplicate_ids_rejected():
         read_coco(json.dumps(json.loads(write_coco(ds))).encode())
 
 
+def _coco_doc(n=2):
+    return json.loads(write_coco(_dataset(n)))
+
+
+@pytest.mark.parametrize("section,kind", [("annotations", "annotation"), ("images", "image"), ("categories", "category")])
+def test_coco_missing_field_names_record(section, kind):
+    doc = _coco_doc()
+    del doc[section][-1]["id"]
+    i = len(doc[section]) - 1
+    with pytest.raises(SchemaError, match=f"^{kind} {i}: missing field 'id'$"):
+        read_coco(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("image_id", "one"), ("category_id", None), ("area", [1]), ("bbox", [1, 2]), ("segmentation", [[0, 0, "x", 1, 2, 2]])],
+)
+def test_coco_invalid_annotation_field_names_record(field, value):
+    doc = _coco_doc()
+    doc["annotations"][1][field] = value
+    with pytest.raises(SchemaError, match=f"^annotation 1: invalid {field}: "):
+        read_coco(json.dumps(doc))
+
+
+def test_coco_segmentation_errors_name_record():
+    doc = _coco_doc()
+    doc["annotations"][0]["segmentation"] = {"size": [4, 4], "counts": [3, 2]}
+    with pytest.raises(CorruptRleError, match="^annotation 0: counts sum"):
+        read_coco(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [7, ["not an object"]])
+def test_coco_malformed_section_rejected(bad):
+    doc = _coco_doc()
+    doc["images"] = bad
+    with pytest.raises(SchemaError, match="images must be a list|image 0: record must be an object"):
+        read_coco(json.dumps(doc))
+
+
+def test_coco_duplicate_ids_message():
+    doc = _coco_doc(3)
+    for ann in doc["annotations"]:
+        ann["id"] = 5
+    doc["categories"].append(dict(doc["categories"][0]))
+    with pytest.raises(IntegrityError) as e:
+        read_coco(json.dumps(doc))
+    assert str(e.value) == f"duplicate annotation ids [5]; duplicate category ids [{doc['categories'][0]['id']}]"
+
+
 def test_segmentation_forms_roundtrip():
     ring = Polygon.from_xy(SQUARE_PTS)
     assert decode_segmentation(encode_segmentation(ring)) == ring
@@ -399,6 +449,24 @@ def test_parse_predictions_missing_field():
     del raw["bbox"]
     with pytest.raises(SchemaError, match="line 1"):
         parse_predictions(json.dumps(raw))
+
+
+@pytest.mark.parametrize("field,value", [("frame", True), ("frame", False), ("score", True), ("score", False)])
+def test_parse_predictions_rejects_booleans(field, value):
+    raw = json.loads(prediction_line())
+    raw[field] = value
+    with pytest.raises(SchemaError, match=f"^line 2: {field} must be"):
+        parse_predictions(prediction_line() + "\n" + json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "field,value", [("bbox", [1, "x", 3, 4]), ("segmentation", [[0, 0, "x", 0, 4, 4]]), ("segmentation", {"size": ["h", 4], "counts": "0"})]
+)
+def test_parse_predictions_non_numeric_names_line(field, value):
+    raw = json.loads(prediction_line())
+    raw[field] = value
+    with pytest.raises(SchemaError, match=f"^line 2: invalid {field}: "):
+        parse_predictions(prediction_line() + "\n" + json.dumps(raw))
 
 
 def test_predictions_roundtrip():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtrack.errors import (
@@ -496,6 +496,38 @@ def test_segmentation_iou_polygon_vs_mask():
     sq = Polygon.from_xy([(0, 0), (4, 0), (4, 4), (0, 4)])
     dense = rasterize(sq, 6, 6)
     assert segmentation_iou(sq, mask_to_rle(dense)) == 1.0
+
+
+_coord = st.one_of(
+    st.floats(-8, 28),
+    st.integers(-8, 28).map(lambda k: k + 0.5),  # on a pixel center
+    st.integers(-8, 28).map(float),  # on a pixel corner
+)
+_rings = st.lists(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=7), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rings=_rings,
+    height=st.integers(1, 20),
+    width=st.integers(1, 20),
+    mask_seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+@example(rings=[[(30, 30), (40, 30), (35, 40)]], height=8, width=8, mask_seed=0, density=0.5)  # wholly outside
+@example(rings=[[(-4, -4), (6.5, -4), (6.5, 6.5), (-4, 6.5)]], height=8, width=8, mask_seed=1, density=0.5)
+@example(rings=[[(2, 3.5), (2.5, 2), (2.7, 3)]], height=8, width=8, mask_seed=2, density=0.5)  # no pixel center inside
+@example(rings=[[(0, 0), (5, 0), (5, 5), (0, 5)], [(3, 3), (9, 3), (9, 9)]], height=8, width=8, mask_seed=3, density=0.5)
+def test_segmentation_iou_mixed_equals_full_frame_reference(rings, height, width, mask_seed, density):
+    polys = [Polygon.from_xy(r) for r in rings]
+    seg = polys[0] if len(polys) == 1 else tuple(polys)
+    rle = mask_to_rle(np.random.default_rng(mask_seed).random((height, width)) < density)
+    dense_poly = np.zeros((height, width), dtype=bool)
+    for r in rings:
+        dense_poly |= raster_oracle(r, height, width)
+    want = dense_iou(dense_poly, rle_to_mask(rle))
+    assert segmentation_iou(seg, rle) == want
+    assert segmentation_iou(rle, seg) == want
 
 
 def test_segmentation_iou_polygon_pair_matches_dense():
