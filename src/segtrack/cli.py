@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analytics, formats, metrics, synth, tracking
-from .errors import SegtrackError
+from .errors import InvalidPolygonError, ParseError, SchemaError, SegtrackError
 from .geometry import Polygon
 from .metrics import MotConfig
 
@@ -155,22 +155,34 @@ def _cmd_eval_coco(args) -> None:
     _emit(args.out, analytics.emit_report(scaled, format=args.format), args.force)
 
 
-def _load_zones(path: str) -> list[analytics.ZoneDefinition]:
-    raw = json.loads(Path(path).read_text())
+def _parse_zones(data: bytes) -> list[analytics.ZoneDefinition]:
+    """Zones file: a JSON list of ``{"name": ..., "points": [[x, y], ...]}``."""
+    try:
+        raw = json.loads(data)
+    except ValueError as e:
+        raise ParseError(f"malformed JSON: {e}") from e
+    if not isinstance(raw, list):
+        raise SchemaError("zones must be a list")
     zones = []
-    for entry in raw:
-        zones.append(
-            analytics.ZoneDefinition(
-                name=str(entry["name"]),
-                region=Polygon.from_xy(entry["points"]),
-            )
-        )
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or not {"name", "points"} <= entry.keys():
+            raise SchemaError(f"zone {i}: expected an object with fields 'name' and 'points'")
+        points = entry["points"]
+        if not isinstance(points, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p) for p in points
+        ):
+            raise SchemaError(f"zone {i}: points must be a list of [x, y] numbers")
+        try:
+            region = Polygon.from_xy(points)
+        except InvalidPolygonError as e:
+            raise InvalidPolygonError(f"zone {i}: {e}") from e
+        zones.append(analytics.ZoneDefinition(name=str(entry["name"]), region=region))
     return zones
 
 
 def _cmd_analyze(args) -> None:
     tracks = _load(args.tracks, tracking.read_tracks_csv)
-    zones = _load_zones(args.zones) if args.zones else []
+    zones = _load(args.zones, _parse_zones) if args.zones else []
     lines = []
     header = ["label", "frames_present", "distance_traveled", "mean_speed"]
     header += [f"zone_{z.name}" for z in zones] + (["zone_outside"] if zones else [])

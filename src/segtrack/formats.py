@@ -80,12 +80,6 @@ class CocoDataset:
     annotations: list[CocoAnnotation] = field(default_factory=list)
     categories: list[CocoCategory] = field(default_factory=list)
 
-    def category_name(self, category_id: int) -> str:
-        for c in self.categories:
-            if c.id == category_id:
-                return c.name
-        raise KeyError(category_id)
-
 
 @dataclass
 class SplitResult:
@@ -328,11 +322,11 @@ def decode_segmentation(form) -> Segmentation:
         counts = form.get("counts")
         if not (isinstance(size, list) and len(size) == 2):
             raise SchemaError(f"RLE size must be [height, width], got {size!r}")
-        h, w = int(size[0]), int(size[1])
+        h, w = _int(size[0]), _int(size[1])
         if isinstance(counts, str):
             return geometry.rle_decode_string(counts, h, w)
         if isinstance(counts, list):
-            return RleMask(h, w, tuple(int(c) for c in counts))
+            return RleMask(h, w, tuple(_int(c) for c in counts))
         raise SchemaError(f"RLE counts must be a list or string, got {type(counts).__name__}")
     raise SchemaError(f"unsupported segmentation form: {type(form).__name__}")
 
@@ -382,18 +376,34 @@ def _field(raw: dict, key: str, convert, where: str, default=_REQUIRED):
         return default
     try:
         return convert(raw[key])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"{where}: invalid {key}: {e}") from None
     except SegtrackError as e:
         raise type(e)(f"{where}: {e}") from e
 
 
+def _int(value) -> int:
+    """A JSON number with an integral value; booleans and strings are not numbers."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
 def _optional_int(value) -> int | None:
-    return None if value is None else int(value)
+    return None if value is None else _int(value)
+
+
+def _number(value) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
 
 
 def _bbox(value) -> BoundingBox:
-    return BoundingBox(*(float(v) for v in value))
+    return BoundingBox(*(_number(v) for v in value))
 
 
 def _records(doc: dict, section: str, kind: str):
@@ -424,27 +434,27 @@ def read_coco(data: bytes | str) -> CocoDataset:
 
     ds = CocoDataset()
     for where, raw in _records(doc, "categories", "category"):
-        ds.categories.append(CocoCategory(id=_field(raw, "id", int, where), name=_field(raw, "name", str, where)))
+        ds.categories.append(CocoCategory(id=_field(raw, "id", _int, where), name=_field(raw, "name", str, where)))
     for where, raw in _records(doc, "images", "image"):
         ds.images.append(
             CocoImage(
-                id=_field(raw, "id", int, where),
+                id=_field(raw, "id", _int, where),
                 file_name=_field(raw, "file_name", str, where),
-                height=_field(raw, "height", int, where),
-                width=_field(raw, "width", int, where),
+                height=_field(raw, "height", _int, where),
+                width=_field(raw, "width", _int, where),
                 frame_index=_field(raw, "frame_index", _optional_int, where, None),
             )
         )
     for where, raw in _records(doc, "annotations", "annotation"):
         ds.annotations.append(
             CocoAnnotation(
-                id=_field(raw, "id", int, where),
-                image_id=_field(raw, "image_id", int, where),
-                category_id=_field(raw, "category_id", int, where),
+                id=_field(raw, "id", _int, where),
+                image_id=_field(raw, "image_id", _int, where),
+                category_id=_field(raw, "category_id", _int, where),
                 segmentation=_field(raw, "segmentation", decode_segmentation, where),
                 bbox=_field(raw, "bbox", _bbox, where, BoundingBox(0.0, 0.0, 0.0, 0.0)),
-                area=_field(raw, "area", float, where, 0.0),
-                iscrowd=_field(raw, "iscrowd", int, where, 0),
+                area=_field(raw, "area", _number, where, 0.0),
+                iscrowd=_field(raw, "iscrowd", _int, where, 0),
             )
         )
 
@@ -565,9 +575,10 @@ def coco_to_tracks(ds: CocoDataset) -> list[Track]:
     """Ground-truth tracks from a COCO dataset: one per category with annotations."""
     frames = image_frame_map(ds)
     frame_of_image = {img.id: f for f, img in frames.items()}
+    category_name = {c.id: c.name for c in ds.categories}
     states: dict[str, list[TrackState]] = {}
     for ann in ds.annotations:
-        label = ds.category_name(ann.category_id)
+        label = category_name[ann.category_id]
         frame = frame_of_image[ann.image_id]
         states.setdefault(label, []).append(
             TrackState(

@@ -6,7 +6,9 @@ coordinates with the origin at the top-left corner, x rightward, y
 downward, so pixel ``(row, col)`` has its center at ``(col + 0.5,
 row + 0.5)``.  Run-length encodings flatten the mask in column-major
 order and always start with the length of the leading zero run
-(possibly 0).
+(possibly 0).  An :class:`RleMask` derives its one-runs, area,
+centroid and bounding box from its counts on first use, once per mask;
+the helpers here read those values from the mask.
 
 Rasterization uses the even-odd rule tested at pixel centers with a
 half-open boundary convention: a center lying exactly on a left/top
@@ -32,6 +34,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -92,7 +95,13 @@ class Polygon:
 
 @dataclass(frozen=True)
 class RleMask:
-    """Column-major run-length mask: runs alternate zero/one, starting with zero."""
+    """Column-major run-length mask: runs alternate zero/one, starting with zero.
+
+    ``counts`` is the whole state.  :attr:`runs`, :attr:`area`,
+    :attr:`centroid` and :attr:`bbox` are derived from it on first use
+    and kept with the mask, so each is computed once per mask; they take
+    no part in ``==`` or ``hash``.  Zero-length runs are legal.
+    """
 
     height: int
     width: int
@@ -105,16 +114,74 @@ class RleMask:
             object.__setattr__(self, "counts", counts)
         if self.height <= 0 or self.width <= 0:
             raise CorruptRleError(f"bad dimensions {self.height}x{self.width}")
-        total = 0
-        for c in counts:
-            if c < 0:
-                raise CorruptRleError("negative run length")
-            total += c
+        if counts and min(counts) < 0:
+            raise CorruptRleError("negative run length")
+        total = sum(counts)
         if total != self.height * self.width:
             raise CorruptRleError(
                 f"counts sum {total} != {self.height}x{self.width}"
                 f" = {self.height * self.width}"
             )
+
+    @cached_property
+    def runs(self) -> tuple[list[int], list[int]]:
+        """``(starts, ends)`` of the non-empty one-runs as half-open flat column-major intervals.
+
+        Both lists ascend; callers must not modify them.
+        """
+        bounds = list(itertools.accumulate(self.counts))
+        starts = bounds[:-1:2]  # one-run 2k+1 starts where zero-run 2k ends
+        ends = bounds[1::2]
+        if 0 in self.counts[1::2]:
+            kept = [(s, e) for s, e in zip(starts, ends) if s < e]
+            starts, ends = [s for s, _ in kept], [e for _, e in kept]
+        return starts, ends
+
+    @cached_property
+    def area(self) -> int:
+        """Number of set pixels."""
+        return sum(self.counts[1::2])
+
+    @cached_property
+    def _centroid_and_bbox(self) -> tuple[Point | None, BoundingBox]:
+        """Both come from one pass over the runs; the centroid is None on an empty mask."""
+        starts, ends = self.runs
+        if not starts:
+            return None, BoundingBox(0.0, 0.0, 0.0, 0.0)
+        h = self.height
+        col_sum = 0
+        row_sum = 0
+        top, bottom = h, 0  # row span [top, bottom)
+        for s, e in zip(starts, ends):
+            while s < e:  # rows r..r+n-1 of column s // h, one column of the run at a time
+                r = s % h
+                n = e - s if r + e - s <= h else h - r
+                col_sum += s // h * n
+                row_sum += (2 * r + n - 1) * n // 2
+                if r < top:
+                    top = r
+                if r + n > bottom:
+                    bottom = r + n
+                s += n
+        area = self.area
+        c_min, c_max = starts[0] // h, (ends[-1] - 1) // h
+        return (
+            Point(col_sum / area + 0.5, row_sum / area + 0.5),
+            BoundingBox(float(c_min), float(top), float(c_max - c_min + 1), float(bottom - top)),
+        )
+
+    @property
+    def centroid(self) -> Point:
+        """Mean of the set pixels' centers; raises on an empty mask."""
+        point = self._centroid_and_bbox[0]
+        if point is None:
+            raise EmptySegmentationError("cannot take the centroid of an empty mask")
+        return point
+
+    @property
+    def bbox(self) -> BoundingBox:
+        """Tight pixel bounds of the set pixels; all zeros for an empty mask."""
+        return self._centroid_and_bbox[1]
 
 
 # A segmentation is a single ring, several rings (union of parts of one
@@ -300,12 +367,8 @@ def rle_to_mask(r: RleMask) -> np.ndarray:
 
 
 def rle_area(r: RleMask) -> int:
-    """Number of set pixels (sum of the one-runs); cached on the mask."""
-    area = getattr(r, "_area", None)
-    if area is None:
-        area = int(sum(r.counts[1::2]))
-        object.__setattr__(r, "_area", area)
-    return area
+    """Number of set pixels (sum of the one-runs)."""
+    return r.area
 
 
 def rle_encode_string(r: RleMask) -> str:
@@ -365,26 +428,6 @@ def rle_decode_string(s: str, height: int, width: int) -> RleMask:
     return RleMask(height, width, tuple(counts))
 
 
-def _one_runs(r: RleMask) -> tuple[list[int], list[int]]:
-    """Half-open [start, end) intervals of the one-runs in flat column-major order.
-
-    Cached on the (immutable) mask after the first call.
-    """
-    runs = getattr(r, "_runs", None)
-    if runs is None:
-        starts: list[int] = []
-        ends: list[int] = []
-        pos = 0
-        for i, c in enumerate(r.counts):
-            if i % 2:
-                starts.append(pos)
-                ends.append(pos + c)
-            pos += c
-        runs = (starts, ends)
-        object.__setattr__(r, "_runs", runs)
-    return runs
-
-
 def rle_iou(a: RleMask, b: RleMask, crowd: bool = False) -> float:
     """Mask intersection over union.
 
@@ -395,12 +438,12 @@ def rle_iou(a: RleMask, b: RleMask, crowd: bool = False) -> float:
         raise ValueError(
             f"dimension mismatch: {a.height}x{a.width} vs {b.height}x{b.width}"
         )
-    area_a = rle_area(a)
-    area_b = rle_area(b)
+    area_a = a.area
+    area_b = b.area
     if area_a == 0 or area_b == 0:
         return 0.0
-    sa, ea = _one_runs(a)
-    sb, eb = _one_runs(b)
+    sa, ea = a.runs
+    sb, eb = b.runs
     na, nb = len(sa), len(sb)
     i = j = 0
     inter = 0
@@ -627,37 +670,6 @@ def simplify_polygon(p: Polygon, epsilon: float) -> Polygon:
 # centroids and segmentation helpers
 
 
-def _rle_centroid(r: RleMask) -> Point:
-    cached = getattr(r, "_centroid", None)
-    if cached is not None:
-        return cached
-    area = rle_area(r)
-    if area == 0:
-        raise EmptySegmentationError("cannot take the centroid of an empty mask")
-    starts, ends = _one_runs(r)
-    h = r.height
-    half_rows = h * (h - 1) // 2
-
-    # closed forms for sum_{k<n} k // h and k % h over flat indices,
-    # so runs never need to be expanded pixel by pixel
-    def div_sum(n: int) -> int:
-        q, rem = divmod(n, h)
-        return h * (q * (q - 1) // 2) + q * rem
-
-    def mod_sum(n: int) -> int:
-        q, rem = divmod(n, h)
-        return q * half_rows + rem * (rem - 1) // 2
-
-    col_sum = 0
-    row_sum = 0
-    for s, e in zip(starts, ends):
-        col_sum += div_sum(e) - div_sum(s)
-        row_sum += mod_sum(e) - mod_sum(s)
-    point = Point(col_sum / area + 0.5, row_sum / area + 0.5)
-    object.__setattr__(r, "_centroid", point)
-    return point
-
-
 def _polygon_centroid(p: Polygon) -> Point:
     pts = p.as_array()
     x, y = pts[:, 0], pts[:, 1]
@@ -679,7 +691,7 @@ def centroid(seg: Segmentation) -> Point:
     ring by its area).
     """
     if isinstance(seg, RleMask):
-        return _rle_centroid(seg)
+        return seg.centroid
     if isinstance(seg, Polygon):
         return _polygon_centroid(seg)
     rings = tuple(seg)
@@ -699,7 +711,7 @@ def centroid(seg: Segmentation) -> Point:
 
 def segmentation_area(seg: Segmentation) -> float:
     if isinstance(seg, RleMask):
-        return float(rle_area(seg))
+        return float(seg.area)
     if isinstance(seg, Polygon):
         return polygon_area(seg)
     return float(sum(polygon_area(r) for r in seg))
@@ -709,21 +721,7 @@ def segmentation_bbox(seg: Segmentation) -> BoundingBox:
     if isinstance(seg, Polygon):
         return polygon_bbox(seg)
     if isinstance(seg, RleMask):
-        starts, ends = _one_runs(seg)
-        if len(starts) == 0:
-            return BoundingBox(0.0, 0.0, 0.0, 0.0)
-        h = seg.height
-        c_min, c_max = None, None
-        r_min, r_max = None, None
-        for s, e in zip(starts, ends):
-            c0, c1 = s // h, (e - 1) // h
-            r0 = s % h if c0 == c1 else 0
-            r1 = (e - 1) % h if c0 == c1 else h - 1
-            c_min = c0 if c_min is None else min(c_min, c0)
-            c_max = c1 if c_max is None else max(c_max, c1)
-            r_min = r0 if r_min is None else min(r_min, r0)
-            r_max = r1 if r_max is None else max(r_max, r1)
-        return BoundingBox(float(c_min), float(r_min), float(c_max - c_min + 1), float(r_max - r_min + 1))
+        return seg.bbox
     boxes = [polygon_bbox(r) for r in seg]
     x0 = min(b.x for b in boxes)
     y0 = min(b.y for b in boxes)
@@ -739,7 +737,7 @@ def _rings(seg: Segmentation) -> tuple[Polygon, ...]:
 def _rle_columns(r: RleMask, c_lo: int, c_hi: int) -> np.ndarray:
     """Dense ``(height, c_hi - c_lo)`` decoding of columns ``c_lo..c_hi - 1`` alone."""
     lo, hi = c_lo * r.height, c_hi * r.height
-    starts, ends = _one_runs(r)
+    starts, ends = r.runs
     i0 = bisect.bisect_right(ends, lo)  # one-runs ending at or before lo miss the window
     i1 = bisect.bisect_left(starts, hi)
     flat = np.zeros(hi - lo, dtype=bool)
@@ -759,7 +757,7 @@ def _polygon_rle_iou(rings: tuple[Polygon, ...], r: RleMask) -> float:
     poly = _fill_spans(rows - r_lo, c0 - c_lo, c1 - c_lo, r_hi - r_lo, c_hi - c_lo)
     mask = _rle_columns(r, c_lo, c_hi)[r_lo:r_hi]
     inter = int(np.count_nonzero(poly & mask))
-    return inter / (int(np.count_nonzero(poly)) + rle_area(r) - inter)
+    return inter / (int(np.count_nonzero(poly)) + r.area - inter)
 
 
 def _rings_to_window(rings: tuple[Polygon, ...], x0: int, y0: int, h: int, w: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry
 from .errors import ConfigError
 from .formats import CocoAnnotation, CocoCategory, CocoDataset, CocoImage
-from .geometry import BoundingBox, Point, RleMask
+from .geometry import BoundingBox, RleMask
 from .tracking import DetectionRecord, Track, TrackState
 
 
@@ -85,69 +85,40 @@ class InjectionLog:
 
 
 # ---------------------------------------------------------------------------
-# disc rasterization (pixel-center rule, column-major runs built directly)
+# disc rasterization (pixel-center rule, column-major counts built directly)
 
 
 def disc_mask(cx: float, cy: float, radius: float, height: int, width: int) -> tuple[RleMask, BoundingBox]:
     """Rasterized disc as an RLE mask plus its tight pixel bounding box."""
-    c0 = max(0, math.ceil(cx - radius - 0.5))
-    c1 = min(width - 1, math.floor(cx + radius - 0.5))
-    total = height * width
-    if c1 < c0:
-        return RleMask(height, width, (total,)), BoundingBox(0.0, 0.0, 0.0, 0.0)
-    cols = np.arange(c0, c1 + 1, dtype=np.float64)
-    dy = np.sqrt(np.maximum(radius * radius - (cols + 0.5 - cx) ** 2, 0.0))
-    r0s = np.maximum(np.ceil(cy - dy - 0.5), 0.0).astype(np.int64).tolist()
-    r1s = np.minimum(np.floor(cy + dy - 0.5), height - 1).astype(np.int64).tolist()
-
-    # assemble column runs directly, merging any that touch across a
-    # column boundary (only possible when a column spans the full height)
-    starts: list[int] = []
-    ends: list[int] = []
-    r_min, r_max = height, -1
-    col_lo, col_hi = None, None
-    col_sum = 0
-    row_sum = 0
-    for c, r0, r1 in zip(range(c0, c1 + 1), r0s, r1s):
+    cx, cy = float(cx), float(cy)  # numpy scalars would make every step below slow
+    rr = radius * radius
+    counts: list[int] = []
+    end = 0  # flat index one past the last one-run
+    for c in range(max(0, math.ceil(cx - radius - 0.5)), min(width - 1, math.floor(cx + radius - 0.5)) + 1):
+        dx = c + 0.5 - cx
+        d2 = rr - dx * dx
+        dy = math.sqrt(d2) if d2 > 0.0 else 0.0
+        r0 = math.ceil(cy - dy - 0.5)
+        r1 = math.floor(cy + dy - 0.5)
+        if r0 < 0:
+            r0 = 0
+        if r1 >= height:
+            r1 = height - 1
         if r1 < r0:
             continue
-        base = c * height
-        s, e = base + r0, base + r1 + 1
-        if ends and ends[-1] == s:
-            ends[-1] = e
+        # a run touching the previous one across a column boundary (only
+        # possible when a column spans the full height) extends it, so
+        # zero and one runs keep alternating
+        s = c * height + r0
+        if counts and s == end:
+            counts[-1] += r1 - r0 + 1
         else:
-            starts.append(s)
-            ends.append(e)
-        n_rows = r1 - r0 + 1
-        col_sum += c * n_rows
-        row_sum += (r0 + r1) * n_rows // 2
-        if r0 < r_min:
-            r_min = r0
-        if r1 > r_max:
-            r_max = r1
-        if col_lo is None:
-            col_lo = c
-        col_hi = c
-    if not starts:
-        return RleMask(height, width, (total,)), BoundingBox(0.0, 0.0, 0.0, 0.0)
-
-    counts = [starts[0]]
-    area = 0
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        if i:
-            counts.append(s - ends[i - 1])
-        counts.append(e - s)
-        area += e - s
-    if total - ends[-1] > 0:
-        counts.append(total - ends[-1])
+            counts += (s - end, r1 - r0 + 1)
+        end = c * height + r1 + 1
+    if end < height * width:
+        counts.append(height * width - end)
     rle = RleMask(height, width, tuple(counts))
-    object.__setattr__(rle, "_runs", (starts, ends))
-    object.__setattr__(rle, "_area", area)
-    object.__setattr__(rle, "_centroid", Point(col_sum / area + 0.5, row_sum / area + 0.5))
-    bbox = BoundingBox(
-        float(col_lo), float(r_min), float(col_hi - col_lo + 1), float(r_max - r_min + 1)
-    )
-    return rle, bbox
+    return rle, rle.bbox
 
 
 # ---------------------------------------------------------------------------
@@ -332,29 +303,26 @@ def perturb(
                 log.fn_events.append((frame, label))
                 continue
             seg = state.segmentation
-            bbox = None
             if cfg.centroid_noise > 0:
                 dx, dy = rng.normal(0.0, cfg.centroid_noise, 2)
                 norm = math.hypot(dx, dy)
                 if norm > jitter_limit:
                     dx, dy = dx * jitter_limit / norm, dy * jitter_limit / norm
                 while abs(dx) >= 1e-6 or abs(dy) >= 1e-6:
-                    cand, cand_box = disc_mask(
+                    cand, _ = disc_mask(
                         state.centroid.x + dx, state.centroid.y + dy, body_radius, height, width
                     )
                     if geometry.rle_iou(cand, state.segmentation) > 0.5:
-                        seg, bbox = cand, cand_box
+                        seg = cand
                         break
                     dx, dy = dx * 0.5, dy * 0.5
-            if bbox is None:
-                bbox = geometry.segmentation_bbox(seg)
             preds.append(
                 DetectionRecord(
                     frame=frame,
                     label=perm[label],
                     score=1.0,
                     segmentation=seg,
-                    bbox=bbox,
+                    bbox=seg.bbox,
                 )
             )
 

@@ -205,6 +205,7 @@ def test_track_interpolation_flag(tmp_path):
     [
         (lambda ann: ann.pop("id"), "annotation 0: missing field 'id'"),
         (lambda ann: ann.update(image_id="first"), "annotation 0: invalid image_id: "),
+        (lambda ann: ann.update(id=True), "annotation 0: invalid id: expected an integer, got true"),
     ],
 )
 def test_eval_coco_malformed_gt_is_domain_error(tmp_path, capsys, edit, message):
@@ -219,3 +220,23 @@ def test_eval_coco_malformed_gt_is_domain_error(tmp_path, capsys, edit, message)
     capsys.readouterr()
     assert run(["eval-coco", "--gt", gt, "--pred", pred]) == 1
     assert capsys.readouterr().err.startswith(f"error: {gt}: {message}")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('[{"name": "west"}]', "zone 0: expected an object with fields 'name' and 'points'"),
+        ('[{"name": "west", "points": [[0, 0], [9, 0], [9, 9]]', "malformed JSON: "),
+        ('[{"name": "a", "points": [[0, 0], [9, 0], [9, 9]]}, {"name": "b", "points": [[0, 0], [9, 9]]}]',
+         "zone 1: polygon needs >=3 vertices, got 2"),
+    ],
+    ids=["no-points", "malformed-json", "two-point-ring"],
+)
+def test_analyze_bad_zones_file_names_file_and_zone(tmp_path, capsys, text, message):
+    tracks_csv = tmp_path / "tracks.csv"
+    assert run(["track", "--pred", _make_scenario(tmp_path) / "preds.jsonl", "--out", tracks_csv]) == 0
+    zones = tmp_path / "zones.json"
+    zones.write_text(text)
+    capsys.readouterr()
+    assert run(["analyze", "--tracks", tracks_csv, "--zones", zones]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {zones}: {message}")

@@ -361,13 +361,34 @@ def test_coco_missing_field_names_record(section, kind):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("image_id", "one"), ("category_id", None), ("area", [1]), ("bbox", [1, 2]), ("segmentation", [[0, 0, "x", 1, 2, 2]])],
+    [("image_id", "one"), ("category_id", None), ("area", [1]), ("bbox", [1, 2]), ("segmentation", [[0, 0, "x", 1, 2, 2]]),
+     ("id", True), ("image_id", "1"), ("category_id", 1.5), ("iscrowd", False), ("area", "100"), ("area", True),
+     ("bbox", ["1", "2", "3", "4"]), ("bbox", [1, 2, True, 4])],
 )
 def test_coco_invalid_annotation_field_names_record(field, value):
     doc = _coco_doc()
     doc["annotations"][1][field] = value
     with pytest.raises(SchemaError, match=f"^annotation 1: invalid {field}: "):
         read_coco(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "section,kind,field,value",
+    [("images", "image", "id", True), ("images", "image", "height", 4.9), ("images", "image", "width", "8"),
+     ("images", "image", "frame_index", "0"), ("categories", "category", "id", False)],
+)
+def test_coco_integer_fields_are_strict(section, kind, field, value):
+    doc = _coco_doc()
+    doc[section][0][field] = value
+    with pytest.raises(SchemaError, match=f"^{kind} 0: invalid {field}: expected an integer, got {json.dumps(value)}$"):
+        read_coco(json.dumps(doc))
+
+
+def test_coco_integral_float_reads_as_int():
+    doc = _coco_doc()
+    doc["images"][0]["height"] = float(doc["images"][0]["height"])
+    height = read_coco(json.dumps(doc)).images[0].height
+    assert type(height) is int and height == doc["images"][0]["height"]
 
 
 def test_coco_segmentation_errors_name_record():
@@ -460,7 +481,9 @@ def test_parse_predictions_rejects_booleans(field, value):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("bbox", [1, "x", 3, 4]), ("segmentation", [[0, 0, "x", 0, 4, 4]]), ("segmentation", {"size": ["h", 4], "counts": "0"})]
+    "field,value",
+    [("bbox", [1, "x", 3, 4]), ("segmentation", [[0, 0, "x", 0, 4, 4]]), ("segmentation", {"size": ["h", 4], "counts": "0"}),
+     ("bbox", ["1", "2", "3", "4"]), ("bbox", [1, 2, 3, False])],
 )
 def test_parse_predictions_non_numeric_names_line(field, value):
     raw = json.loads(prediction_line())

@@ -33,6 +33,7 @@ from segtrack.geometry import (
     rle_encode_string,
     rle_iou,
     rle_to_mask,
+    segmentation_bbox,
     segmentation_iou,
     simplify_polygon,
 )
@@ -486,6 +487,59 @@ def test_mask_centroid_matches_pixel_mean():
 def test_empty_mask_centroid_raises():
     with pytest.raises(EmptySegmentationError):
         centroid(mask_to_rle(np.zeros((3, 3), dtype=bool)))
+
+
+@pytest.mark.parametrize(
+    "counts,want",
+    [
+        ((5, 0, 3, 2, 6), BoundingBox(2.0, 0.0, 1.0, 2.0)),  # a zero-length one-run first
+        ((5, 0, 11), BoundingBox(0.0, 0.0, 0.0, 0.0)),  # empty, written with a zero-length one-run
+    ],
+)
+def test_zero_length_one_runs_take_no_part(counts, want):
+    r = RleMask(4, 4, counts)
+    assert segmentation_bbox(r) == want
+    assert all(s < e for s, e in zip(*r.runs))
+
+
+@st.composite
+def _rle_masks(draw):
+    """Legal counts, zero-length runs included, on frames from 1x1 to 12x12."""
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    total = h * w
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=12)))
+    return RleMask(h, w, tuple(np.diff([0, *cuts, total]).tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=_rle_masks())
+@example(r=RleMask(4, 4, (5, 0, 3, 2, 6)))
+@example(r=RleMask(4, 4, (5, 0, 11)))
+@example(r=RleMask(4, 3, (2, 9, 1)))  # a run through a full-height column
+@example(r=RleMask(1, 7, (1, 2, 0, 3, 1)))  # 1xN: every run crosses columns
+@example(r=RleMask(7, 1, (0, 3, 0, 2, 2)))  # Nx1: one column
+@example(r=RleMask(3, 3, (9,)))
+@example(r=RleMask(3, 3, (0, 9)))
+def test_rle_derived_values_match_dense_reference(r):
+    twin = RleMask(r.height, r.width, r.counts)
+    before = hash(r)
+    m = rle_to_mask(r)
+    rows, cols = np.nonzero(m)
+    area = len(rows)
+    starts, ends = r.runs
+    assert all(s < e for s, e in zip(starts, ends))
+    assert [k for s, e in zip(starts, ends) for k in range(s, e)] == np.flatnonzero(m.reshape(-1, order="F")).tolist()
+    assert r.area == rle_area(r) == area
+    if area:
+        assert r.centroid == centroid(r) == Point(int(cols.sum()) / area + 0.5, int(rows.sum()) / area + 0.5)
+        c0, c1, r0, r1 = int(cols.min()), int(cols.max()), int(rows.min()), int(rows.max())
+        assert r.bbox == BoundingBox(float(c0), float(r0), float(c1 - c0 + 1), float(r1 - r0 + 1))
+    else:
+        with pytest.raises(EmptySegmentationError):
+            r.centroid
+        assert r.bbox == BoundingBox(0.0, 0.0, 0.0, 0.0)
+    assert r == twin and hash(r) == hash(twin) == before
 
 
 # ---------------------------------------------------------------------------
