@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import geometry
-from .errors import MissingDataError
+from .errors import MissingDataError, brief_list
 from .geometry import Polygon, polygon_contains
 from .metrics import ApReport, MotReport
 from .tracking import Track
@@ -138,7 +138,7 @@ def interaction_events(
             if a.state_at(f).segmentation is None or b.state_at(f).segmentation is None
         ]
         if missing:
-            raise MissingDataError(f"frames missing segmentation for mask IoU: {missing}")
+            raise MissingDataError(f"frames missing segmentation for mask IoU: {brief_list(missing)}")
 
     def holds(frame: int) -> bool:
         sa, sb = a.state_at(frame), b.state_at(frame)

@@ -1,4 +1,22 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and a helper for their messages."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+_LISTED_ITEMS = 10
+
+
+def brief_list(items: Sequence) -> str:
+    """``items`` as a list literal, cut after the first ten with the total named.
+
+    Keeps messages about large inputs short: a list of 288 labels reads
+    ``['a', ..., 'j', ...] (288 in all)``.
+    """
+    if len(items) <= _LISTED_ITEMS:
+        return repr(list(items))
+    head = ", ".join(repr(x) for x in items[:_LISTED_ITEMS])
+    return f"[{head}, ...] ({len(items)} in all)"
 
 
 class SegtrackError(Exception):

@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     SchemaError,
     SegtrackError,
+    brief_list,
 )
 from .geometry import BoundingBox, Point, Polygon, RleMask, Segmentation
 from .tracking import DetectionRecord, Track, TrackState
@@ -402,6 +403,13 @@ def _number(value) -> float:
     return float(value)
 
 
+def _str(value) -> str:
+    """A JSON string; numbers, booleans and null are not names."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {json.dumps(value)}")
+    return value
+
+
 def _bbox(value) -> BoundingBox:
     return BoundingBox(*(_number(v) for v in value))
 
@@ -434,12 +442,12 @@ def read_coco(data: bytes | str) -> CocoDataset:
 
     ds = CocoDataset()
     for where, raw in _records(doc, "categories", "category"):
-        ds.categories.append(CocoCategory(id=_field(raw, "id", _int, where), name=_field(raw, "name", str, where)))
+        ds.categories.append(CocoCategory(id=_field(raw, "id", _int, where), name=_field(raw, "name", _str, where)))
     for where, raw in _records(doc, "images", "image"):
         ds.images.append(
             CocoImage(
                 id=_field(raw, "id", _int, where),
-                file_name=_field(raw, "file_name", str, where),
+                file_name=_field(raw, "file_name", _str, where),
                 height=_field(raw, "height", _int, where),
                 width=_field(raw, "width", _int, where),
                 frame_index=_field(raw, "frame_index", _optional_int, where, None),
@@ -463,15 +471,15 @@ def read_coco(data: bytes | str) -> CocoDataset:
         counts = Counter(it.id for it in items)
         dup = sorted(i for i, n in counts.items() if n > 1)
         if dup:
-            problems.append(f"duplicate {name} ids {dup}")
+            problems.append(f"duplicate {name} ids {brief_list(dup)}")
     image_ids = {img.id for img in ds.images}
     cat_ids = {c.id for c in ds.categories}
     bad_img = sorted(a.id for a in ds.annotations if a.image_id not in image_ids)
     bad_cat = sorted(a.id for a in ds.annotations if a.category_id not in cat_ids)
     if bad_img:
-        problems.append(f"annotations {bad_img} reference missing images")
+        problems.append(f"annotations {brief_list(bad_img)} reference missing images")
     if bad_cat:
-        problems.append(f"annotations {bad_cat} reference missing categories")
+        problems.append(f"annotations {brief_list(bad_cat)} reference missing categories")
     if problems:
         raise IntegrityError("; ".join(problems))
     return ds

@@ -93,6 +93,13 @@ class Polygon:
         return Polygon(tuple(Point(p.x + dx, p.y + dy) for p in self.points))
 
 
+def _run_length(count) -> int:
+    """``count`` as an int; a fractional or non-finite value is corrupt."""
+    if not float(count).is_integer():
+        raise CorruptRleError(f"run length {count} is not an integer")
+    return int(count)
+
+
 @dataclass(frozen=True)
 class RleMask:
     """Column-major run-length mask: runs alternate zero/one, starting with zero.
@@ -100,7 +107,9 @@ class RleMask:
     ``counts`` is the whole state.  :attr:`runs`, :attr:`area`,
     :attr:`centroid` and :attr:`bbox` are derived from it on first use
     and kept with the mask, so each is computed once per mask; they take
-    no part in ``==`` or ``hash``.  Zero-length runs are legal.
+    no part in ``==`` or ``hash``.  Zero-length runs are legal.  Counts
+    are stored as ints; a float or numpy count must have an integral
+    value.
     """
 
     height: int
@@ -109,14 +118,18 @@ class RleMask:
 
     def __post_init__(self) -> None:
         counts = self.counts
-        if type(counts) is not tuple or (counts and type(counts[0]) is not int):
-            counts = tuple(int(c) for c in counts)
-            object.__setattr__(self, "counts", counts)
+        if type(counts) is not tuple:
+            counts = tuple(counts)
         if self.height <= 0 or self.width <= 0:
             raise CorruptRleError(f"bad dimensions {self.height}x{self.width}")
         if counts and min(counts) < 0:
             raise CorruptRleError("negative run length")
         total = sum(counts)
+        if type(total) is not int:  # a float or numpy count among them
+            counts = tuple(map(_run_length, counts))
+            total = sum(counts)
+        if counts is not self.counts:
+            object.__setattr__(self, "counts", counts)
         if total != self.height * self.width:
             raise CorruptRleError(
                 f"counts sum {total} != {self.height}x{self.width}"

@@ -4,7 +4,7 @@ CLEAR-MOT accounting with sticky-then-optimal frame matching, and
 COCO-style average precision over mask IoU.  Both evaluators are pure
 and re-entrant; MOT evaluation is sequential over frames (the sticky
 correspondence is stateful) but independent across videos, and AP
-evaluation is independent per (category, threshold) pair.
+evaluation is independent per category.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import geometry
-from .errors import SchemaError, UndefinedMetricError
+from .errors import SchemaError, UndefinedMetricError, brief_list
 from .formats import CocoDataset, image_frame_map
 from .geometry import Segmentation
 from .tracking import DetectionRecord, Track
@@ -348,32 +350,63 @@ def evaluate_mot(
 # COCO average precision
 
 
-def _average_precision(scored: list[tuple[float, int, bool, bool]], n_gt: int) -> float:
-    """101-point interpolated AP from per-detection (score, idx, tp, ignored) rows."""
-    ordered = sorted(scored, key=lambda t: (-t[0], t[1]))
-    tp_cum = []
-    fp_cum = []
-    tp = fp = 0
-    for _, _, is_tp, ignored in ordered:
-        if ignored:
-            continue
-        tp += 1 if is_tp else 0
-        fp += 0 if is_tp else 1
-        tp_cum.append(tp)
-        fp_cum.append(fp)
-    if not tp_cum:
+# outcome of one detection at one IoU threshold
+_TP, _FP, _IGNORED = 0, 1, 2
+
+
+def _match_band(units: list, lo: float, hi: float) -> np.ndarray:
+    """Greedy COCO matching of every unit at all thresholds for one area band.
+
+    Returns outcome codes, one row per detection (units in order, each
+    unit's detections in score order) and one column per threshold.
+    Each threshold keeps its own matched-ground-truth state: a detection
+    takes the unmatched ground truth with the highest IoU at or above
+    the threshold (ties go to the later candidate), in-band candidates
+    before out-of-band ones, which are ignored.  A detection matched to
+    ignored ground truth, or unmatched and outside the band, is ignored.
+    """
+    rows = []
+    for g, ious, d_areas in units:
+        ignored_gt = [not lo <= ann.area < hi for ann in g]
+        order = sorted(range(len(g)), key=ignored_gt.__getitem__)
+        taken = [[False] * len(g) for _ in IOU_THRESHOLDS]
+        for iou_row, d_area in zip(ious, d_areas):
+            unmatched = _FP if lo <= d_area < hi else _IGNORED
+            row = []
+            for threshold, taken_t in zip(IOU_THRESHOLDS, taken):
+                best = -1
+                best_iou = threshold
+                for k in order:
+                    if taken_t[k]:
+                        continue
+                    if best > -1 and not ignored_gt[best] and ignored_gt[k]:
+                        break  # only ignored candidates remain
+                    if iou_row[k] < best_iou:
+                        continue
+                    best = k
+                    best_iou = iou_row[k]
+                if best > -1:
+                    taken_t[best] = True
+                    row.append(_IGNORED if ignored_gt[best] else _TP)
+                else:
+                    row.append(unmatched)
+            rows.append(row)
+    return np.array(rows, dtype=np.int8).reshape(-1, len(IOU_THRESHOLDS))
+
+
+def _average_precision(outcomes: np.ndarray, n_gt: int) -> float:
+    """101-point interpolated AP from one threshold's outcomes in score order."""
+    is_tp = outcomes[outcomes != _IGNORED] == _TP
+    if not len(is_tp):
         return 0.0
-    recall = [t / n_gt for t in tp_cum]
-    precision = [t / (t + f) for t, f in zip(tp_cum, fp_cum)]
-    for i in range(len(precision) - 2, -1, -1):  # monotone envelope
-        precision[i] = max(precision[i], precision[i + 1])
+    tp_cum = np.cumsum(is_tp)
+    recall = tp_cum / n_gt
+    precision = tp_cum / np.arange(1, len(is_tp) + 1)
+    precision = np.maximum.accumulate(precision[::-1])[::-1]  # monotone envelope
+    k = np.searchsorted(recall, RECALL_POINTS, side="left")
     total = 0.0
-    k = 0
-    for r in RECALL_POINTS:
-        while k < len(recall) and recall[k] < r:
-            k += 1
-        if k < len(recall):
-            total += precision[k]
+    for p in precision[k[k < len(recall)]].tolist():  # a running sum: np.sum sums pairwise and rounds differently
+        total += p
     return total / len(RECALL_POINTS)
 
 
@@ -397,10 +430,10 @@ def evaluate_coco_ap(
     cat_id_of = {c.name: c.id for c in gt.categories}
     unknown = sorted({d.label for d in preds if d.label not in cat_id_of})
     if unknown:
-        raise SchemaError(f"unknown categories in predictions: {unknown}")
+        raise SchemaError(f"unknown categories in predictions: {brief_list(unknown)}")
     bad_frames = sorted({d.frame for d in preds if d.frame not in frames})
     if bad_frames:
-        raise SchemaError(f"prediction frames without a matching image: {bad_frames}")
+        raise SchemaError(f"prediction frames without a matching image: {brief_list(bad_frames)}")
 
     gts_by_key: dict[tuple[int, int], list] = {}
     for ann in gt.annotations:
@@ -416,6 +449,7 @@ def evaluate_coco_ap(
     rows = []
     for cat in sorted(gt.categories, key=lambda c: c.id):
         units = []
+        dets = []
         keys = {k for k in gts_by_key if k[1] == cat.id} | {k for k in dets_by_key if k[1] == cat.id}
         for key in sorted(keys):
             g = gts_by_key.get(key, [])
@@ -425,52 +459,29 @@ def evaluate_coco_ap(
                 for _, det in d
             ]
             d_areas = [geometry.segmentation_area(det.segmentation) for _, det in d]
-            units.append((g, d, ious, d_areas))
+            units.append((g, ious, d_areas))
+            dets += d
+        by_score = sorted(range(len(dets)), key=lambda j: (-dets[j][1].score, dets[j][0]))
 
-        def ap_at(threshold: float, lo: float, hi: float) -> float | None:
-            n_gt = sum(1 for g, _, _, _ in units for ann in g if lo <= ann.area < hi)
+        aps: dict[str, list[float] | None] = {}
+        for band, (lo, hi) in AREA_RANGES.items():
+            n_gt = sum(1 for g, _, _ in units for ann in g if lo <= ann.area < hi)
             if n_gt == 0:
-                return None
-            scored: list[tuple[float, int, bool, bool]] = []
-            for g, d, ious, d_areas in units:
-                ignored_gt = [not lo <= ann.area < hi for ann in g]
-                order = sorted(range(len(g)), key=lambda k: ignored_gt[k])
-                taken = [False] * len(g)
-                for (idx, det), iou_row, d_area in zip(d, ious, d_areas):
-                    best = -1
-                    best_iou = threshold
-                    for k in order:
-                        if taken[k]:
-                            continue
-                        if best > -1 and not ignored_gt[best] and ignored_gt[k]:
-                            break  # only ignored candidates remain
-                        if iou_row[k] < best_iou:
-                            continue
-                        best = k
-                        best_iou = iou_row[k]
-                    if best > -1:
-                        taken[best] = True
-                        scored.append((det.score, idx, not ignored_gt[best], ignored_gt[best]))
-                    else:
-                        scored.append((det.score, idx, False, not lo <= d_area < hi))
-            return _average_precision(scored, n_gt)
-
-        def mean_over_thresholds(lo: float, hi: float) -> float | None:
-            vals = [ap_at(t, lo, hi) for t in IOU_THRESHOLDS]
-            if vals[0] is None:
-                return None
-            return sum(vals) / len(vals)
-
-        lo_all, hi_all = AREA_RANGES["all"]
+                aps[band] = None
+                continue
+            outcomes = _match_band(units, lo, hi)[by_score]
+            aps[band] = [_average_precision(outcomes[:, t], n_gt) for t in range(len(IOU_THRESHOLDS))]
+        mean = {band: None if v is None else sum(v) / len(v) for band, v in aps.items()}
+        every = aps["all"]
         rows.append(
             ApRow(
                 name=cat.name,
-                ap=mean_over_thresholds(lo_all, hi_all),
-                ap50=ap_at(IOU_THRESHOLDS[0], lo_all, hi_all),
-                ap75=ap_at(IOU_THRESHOLDS[5], lo_all, hi_all),
-                ap_small=mean_over_thresholds(*AREA_RANGES["small"]),
-                ap_medium=mean_over_thresholds(*AREA_RANGES["medium"]),
-                ap_large=mean_over_thresholds(*AREA_RANGES["large"]),
+                ap=mean["all"],
+                ap50=None if every is None else every[0],  # IOU_THRESHOLDS[0] is 0.50
+                ap75=None if every is None else every[5],  # and IOU_THRESHOLDS[5] is 0.75
+                ap_small=mean["small"],
+                ap_medium=mean["medium"],
+                ap_large=mean["large"],
             )
         )
     return ApReport(rows=tuple(rows))

@@ -182,12 +182,21 @@ def coco_ap_oracle(gt, preds, max_dets=100):
     return out
 
 
-def random_ap_dataset(seed, max_images=20, max_dets_per_image=10, canvas=160):
+def random_ap_dataset(seed, max_images=20, max_dets_per_image=10, canvas=160, stacked=False):
     """Seeded random dataset + detections for AP oracle comparisons.
 
     Rectangular RLE instances spanning the small/medium/large area
     bands, with jittered true positives, spurious detections, and
     occasional wrong-category labels.
+
+    ``stacked=True`` rounds scores to one decimal, so ties are common,
+    and shuffles the detections, so the order of their indices is not
+    the order of their images.  It also places about half of the ground
+    truth as a copy of the previous object shifted by at most 2 px, with
+    the same category, so one detection clears different thresholds
+    against different objects.  None of this takes a random draw when
+    ``stacked`` is False, so the default datasets, which gate 04 checks,
+    do not depend on it.
     """
     from segtrack.formats import CocoAnnotation, CocoCategory, CocoDataset, CocoImage
     from segtrack.geometry import mask_to_rle, segmentation_bbox
@@ -217,13 +226,26 @@ def random_ap_dataset(seed, max_images=20, max_dets_per_image=10, canvas=160):
         y = int(rng.integers(0, canvas - h))
         return x, y, int(w), int(h)
 
+    def score():
+        s = float(rng.uniform(0.05, 1.0))
+        return round(s, 1) if stacked else s
+
     for i in range(n_images):
         ds.images.append(CocoImage(i + 1, f"img_{i:03d}.png", canvas, canvas, frame_index=i))
         n_dets = 0
+        below = None  # the object to stack the next one on
         for _ in range(int(rng.integers(0, 5))):
-            x, y, w, h = random_rect()
+            if below is not None and rng.random() < 0.5:
+                x, y, w, h, cat = below
+                dx, dy = rng.integers(-2, 3, size=2)
+                x = int(np.clip(x + dx, 0, canvas - w))
+                y = int(np.clip(y + dy, 0, canvas - h))
+            else:
+                x, y, w, h = random_rect()
+                cat = int(rng.integers(1, len(names) + 1))
+            if stacked:
+                below = (x, y, w, h, cat)
             seg = rect_rle(x, y, w, h)
-            cat = int(rng.integers(1, len(names) + 1))
             ds.annotations.append(
                 CocoAnnotation(
                     id=ann_id, image_id=i + 1, category_id=cat, segmentation=seg,
@@ -239,7 +261,7 @@ def random_ap_dataset(seed, max_images=20, max_dets_per_image=10, canvas=160):
                 dseg = rect_rle(x2, y2, w, h)
                 preds.append(
                     DetectionRecord(
-                        frame=i, label=label, score=float(rng.uniform(0.05, 1.0)),
+                        frame=i, label=label, score=score(),
                         segmentation=dseg, bbox=segmentation_bbox(dseg),
                     )
                 )
@@ -252,9 +274,11 @@ def random_ap_dataset(seed, max_images=20, max_dets_per_image=10, canvas=160):
             preds.append(
                 DetectionRecord(
                     frame=i, label=names[int(rng.integers(0, len(names)))],
-                    score=float(rng.uniform(0.05, 1.0)),
+                    score=score(),
                     segmentation=seg, bbox=segmentation_bbox(seg),
                 )
             )
             n_dets += 1
+    if stacked:
+        preds = [preds[i] for i in rng.permutation(len(preds))]
     return ds, preds

@@ -375,12 +375,14 @@ def test_coco_invalid_annotation_field_names_record(field, value):
 @pytest.mark.parametrize(
     "section,kind,field,value",
     [("images", "image", "id", True), ("images", "image", "height", 4.9), ("images", "image", "width", "8"),
-     ("images", "image", "frame_index", "0"), ("categories", "category", "id", False)],
+     ("images", "image", "frame_index", "0"), ("categories", "category", "id", False),
+     ("images", "image", "file_name", 7), ("images", "image", "file_name", None), ("categories", "category", "name", False)],
 )
 def test_coco_integer_fields_are_strict(section, kind, field, value):
     doc = _coco_doc()
     doc[section][0][field] = value
-    with pytest.raises(SchemaError, match=f"^{kind} 0: invalid {field}: expected an integer, got {json.dumps(value)}$"):
+    expected = "a string" if field in ("file_name", "name") else "an integer"
+    with pytest.raises(SchemaError, match=f"^{kind} 0: invalid {field}: expected {expected}, got {json.dumps(value)}$"):
         read_coco(json.dumps(doc))
 
 

@@ -175,6 +175,19 @@ def test_rle_counts_validated():
         RleMask(3, 3, (4, 4))
 
 
+@pytest.mark.parametrize("counts", [(0, 4.0), (1, np.int64(3)), [np.int64(2), 2.0]])
+def test_rle_integral_counts_become_ints(counts):
+    r = RleMask(2, 2, counts)
+    assert [type(c) for c in r.counts] == [int, int] and type(r.area) is int
+    assert r == RleMask(2, 2, tuple(int(c) for c in counts))
+
+
+@pytest.mark.parametrize("counts", [(1.5, 2.5), (0, 3.5, 0.5), (0, math.inf)])
+def test_rle_fractional_counts_rejected(counts):
+    with pytest.raises(CorruptRleError, match="not an integer"):
+        RleMask(2, 2, counts)
+
+
 def test_rle_area_counts_set_pixels():
     rng = np.random.default_rng(5)
     m = rng.random((17, 23)) < 0.4
