@@ -10,6 +10,7 @@ machine-readable output goes to files or stdout only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,10 +38,15 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _write_output(path: str, data: bytes, force: bool) -> None:
+def _check_writable(path: str, force: bool) -> Path:
     target = Path(path)
     if target.exists() and not force:
         raise SegtrackError(f"refusing to overwrite {target} (use --force)")
+    return target
+
+
+def _write_output(path: str, data: bytes, force: bool) -> None:
+    target = _check_writable(path, force)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_bytes(data)
 
@@ -129,9 +135,17 @@ def _cmd_eval_mot(args) -> None:
     gt_tracks = formats.coco_to_tracks(gt)
     pred_tracks = _load_pred_tracks(args.pred, args.score_threshold)
     cfg = MotConfig(iou_threshold=args.iou, denominator=args.denominator)
+    if args.frame_log:
+        # refuse before any output is written
+        if args.out and Path(args.out).resolve() == Path(args.frame_log).resolve():
+            raise SegtrackError(f"--out and --frame-log both name {args.out}")
+        _check_writable(args.frame_log, args.force)
     report = metrics.evaluate_mot(gt_tracks, pred_tracks, cfg)
     name = Path(args.pred).stem
     _emit(args.out, analytics.emit_report(report, format=args.format, name=name), args.force)
+    if args.frame_log:
+        lines = "".join(json.dumps(dataclasses.asdict(log)) + "\n" for log in report.per_frame_log)
+        _write_output(args.frame_log, lines.encode("utf-8"), args.force)
 
 
 def _cmd_eval_coco(args) -> None:
@@ -322,6 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denominator", choices=["gt_objects", "frames"], default="gt_objects")
     p.add_argument("--score-threshold", type=float, default=0.5)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument(
+        "--frame-log",
+        help="also write the per-frame matching log here as JSON Lines:"
+        " frame, matches [gt_id, label, iou], misses, false_positives, switches",
+    )
     add_force(p)
     p.set_defaults(func=_cmd_eval_mot)
 

@@ -403,6 +403,14 @@ def _number(value) -> float:
     return float(value)
 
 
+def _area(value) -> float:
+    """A finite, nonnegative JSON number."""
+    area = _number(value)
+    if not (math.isfinite(area) and area >= 0.0):
+        raise ValueError(f"expected a finite number >= 0, got {json.dumps(value)}")
+    return area
+
+
 def _str(value) -> str:
     """A JSON string; numbers, booleans and null are not names."""
     if type(value) is not str:
@@ -461,7 +469,7 @@ def read_coco(data: bytes | str) -> CocoDataset:
                 category_id=_field(raw, "category_id", _int, where),
                 segmentation=_field(raw, "segmentation", decode_segmentation, where),
                 bbox=_field(raw, "bbox", _bbox, where, BoundingBox(0.0, 0.0, 0.0, 0.0)),
-                area=_field(raw, "area", _number, where, 0.0),
+                area=_field(raw, "area", _area, where, 0.0),
                 iscrowd=_field(raw, "iscrowd", _int, where, 0),
             )
         )

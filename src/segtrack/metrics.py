@@ -100,38 +100,45 @@ class ApReport:
 # assignment
 
 
-def _min_cost(mat: list[list[float]], rows: list[int], cols: list[int]) -> float:
-    """Minimal assignment cost covering every row (len(rows) <= len(cols)).
+_TOO_LARGE = "cost matrix entries are too large to compare in floating point"
 
-    Shortest-augmenting-path formulation with dual potentials, O(n^2 m).
+
+def _solve(mat: list[list[float]]) -> tuple[list[int], list[float], list[float]]:
+    """Minimum-cost perfect matching of a square matrix, with its dual potentials.
+
+    Shortest-augmenting-path formulation, O(n^3).  Returns the column of
+    each row and potentials ``u``, ``v`` with ``mat[i][j] - u[i] - v[j]``
+    nonnegative everywhere and zero on the matched pairs, up to rounding.
     """
-    n, m = len(rows), len(cols)
+    n = len(mat)
     u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    p = [0] * (m + 1)  # p[j]: 1-based row index assigned to column j
-    way = [0] * (m + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)  # p[j]: 1-based row index assigned to column j
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [math.inf] * (m + 1)
-        used = [False] * (m + 1)
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
             delta = math.inf
             j1 = -1
-            crow = mat[rows[i0 - 1]]
-            for j in range(1, m + 1):
+            crow = mat[i0 - 1]
+            for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = crow[cols[j - 1]] - u[i0] - v[j]
+                cur = crow[j - 1] - u[i0] - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(m + 1):
+            if j1 < 0:  # every reduced cost overflowed to inf or nan
+                raise ValueError(_TOO_LARGE)
+            for j in range(n + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
@@ -144,20 +151,25 @@ def _min_cost(mat: list[list[float]], rows: list[int], cols: list[int]) -> float
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    total = 0.0
-    for j in range(1, m + 1):
-        if p[j]:
-            total += mat[rows[p[j] - 1]][cols[j - 1]]
-    return total
+    col_of = [0] * n
+    for j in range(1, n + 1):
+        col_of[p[j] - 1] = j - 1
+    return col_of, u[1:], v[1:]
 
 
 def hungarian(cost: Sequence[Sequence[float]]) -> dict[int, int]:
-    """Minimum-cost assignment covering min(rows, cols) pairs.
+    """Minimum-cost assignment covering min(rows, cols) pairs, in O(n^3).
 
     Among equal-cost optima the result is canonical: row 0 takes the
-    lowest column index it can hold in any optimal assignment, then row
-    1, and so on.  Rectangular inputs are padded internally with
-    zero-cost dummy columns, which drop out of the returned map.
+    lowest column it can hold in any optimal assignment, then row 1
+    among the assignments left, and so on.  "Optimal" allows a tie
+    tolerance of ``1e-9 * scale`` (``scale = 1 + max|cost| * n``) on the
+    total: row ``r`` may take column ``c`` when the best assignment of
+    the rows not yet fixed, with ``r`` on ``c``, costs at most that much
+    more than their unconstrained best.  Rectangular inputs are padded
+    internally to a square with zero-cost dummy rows or columns, which
+    drop out of the returned map.  Costs too large for the potentials
+    to stay finite raise ``ValueError``.
     """
     mat = [[float(v) for v in row] for row in cost]
     n_rows = len(mat)
@@ -172,27 +184,74 @@ def hungarian(cost: Sequence[Sequence[float]]) -> dict[int, int]:
         for v in row:
             if not math.isfinite(v):
                 raise ValueError(f"cost matrix entries must be finite, got {v}")
-    n_cols = n_real
-    if n_rows > n_real:
-        for row in mat:
-            row.extend(0.0 for _ in range(n_rows - n_real))
-        n_cols = n_rows
+    n = max(n_rows, n_real)
+    for row in mat:
+        row.extend([0.0] * (n - n_real))
+    mat.extend([0.0] * n for _ in range(n - n_rows))
 
-    scale = 1.0 + max(abs(v) for row in mat for v in row) * max(n_rows, n_cols)
+    scale = 1.0 + max(abs(v) for row in mat for v in row) * n
+    if not math.isfinite(scale):
+        raise ValueError(_TOO_LARGE)
+    col_of, u, v = _solve(mat)
+    if not all(map(math.isfinite, u + v)):
+        raise ValueError(_TOO_LARGE)
     tol = 1e-9 * scale
-    remaining = list(range(n_cols))
-    assignment: dict[int, int] = {}
+
+    # Putting row r on column c changes the optimal matching of the
+    # unfixed rows along an alternating cycle: c's holder moves to another
+    # column, that column's holder moves on, and so on until some row
+    # takes r's own column.  The cheapest cycle costs the reduced cost of
+    # (r, c) plus the shortest such path from c back to r's column; one
+    # Dijkstra over the unfixed rows finds it for every c within tol of
+    # r's column.  After the swap, shifting the potentials by the path
+    # lengths keeps every reduced cost nonnegative and the new matching
+    # tight.
+    row_of = [0] * n
+    for i, j in enumerate(col_of):
+        row_of[j] = i
+    free = list(range(n))  # columns not held by a fixed row
     for r in range(n_rows):
-        sub_rows = list(range(r + 1, n_rows))
-        totals = []
-        for c in remaining:
-            rest = [x for x in remaining if x != c]
-            completion = _min_cost(mat, sub_rows, rest) if sub_rows else 0.0
-            totals.append(mat[r][c] + completion)
-        best = min(totals)
-        pick = next(i for i, t in enumerate(totals) if t <= best + tol)
-        assignment[r] = remaining.pop(pick)
-    return {r: c for r, c in assignment.items() if c < n_real}
+        home = col_of[r]
+        crow, ur = mat[r], u[r]
+        if all(crow[j] - ur - v[j] > tol for j in free if j < home):
+            free.remove(home)  # no lower column is even tight: keep home
+            continue
+        dist = {home: 0.0}  # column -> shortest alternating path to home
+        nxt = {}  # column -> the column its holder moves to on that path
+        todo = {j: math.inf for j in free if j != home}
+        last, reach = home, 0.0
+        while todo:
+            d, vl = dist[last], v[last]
+            for j in todo:
+                x = row_of[j]
+                w = mat[x][last] - u[x] - vl + d
+                if w < todo[j]:
+                    todo[j] = w
+                    nxt[j] = last
+            last = min(todo, key=todo.__getitem__)
+            reach = todo.pop(last)
+            if reach > tol:
+                break  # no column left can close a cycle within tol
+            dist[last] = reach
+        if not math.isfinite(reach):
+            raise ValueError(_TOO_LARGE)
+        c = min(j for j in dist if crow[j] - ur - v[j] + dist[j] <= tol)
+        for j in free:
+            # columns left unreached are at least `reach` from home;
+            # capping every distance there keeps reduced costs nonnegative
+            d = dist.get(j, reach)
+            u[row_of[j]] += d
+            v[j] -= d
+        x, j = r, c
+        while True:
+            holder = row_of[j]
+            col_of[x] = j
+            row_of[j] = x
+            if j == home:
+                break
+            x, j = holder, nxt[j]
+        free.remove(c)
+    return {r: c for r, c in enumerate(col_of[:n_rows]) if c < n_real}
 
 
 # ---------------------------------------------------------------------------

@@ -313,11 +313,11 @@ def write_tracks_csv(tracks: Sequence[Track]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
-    frames = sorted({s.frame for t in tracks for s in t.states})
-    if frames:
-        span = range(frames[0], frames[-1] + 1)
-        for frame in span:
-            for track in sorted(tracks, key=lambda t: t.label):
+    ordered = sorted(tracks, key=lambda t: t.label)
+    spanned = [t.states for t in ordered if t.states]
+    if spanned:
+        for frame in range(min(s[0].frame for s in spanned), max(s[-1].frame for s in spanned) + 1):
+            for track in ordered:
                 s = track.state_at(frame)
                 if s is None or not s.present:
                     writer.writerow([frame, track.label, "false", "", "", "", "false"])

@@ -62,6 +62,102 @@ def brute_force_assignment_vec(cost: np.ndarray) -> float:
     return float(cost[rows, perms].sum(axis=1).min())
 
 
+def canonical_assignment_oracle(cost):
+    """The lexicographically smallest optimal assignment, by enumeration.
+
+    Pads to a square with zero-cost dummies, keeps every permutation
+    whose total is within ``1e-9 * scale`` of the minimum and returns
+    the smallest one (``itertools.permutations`` yields them in
+    lexicographic order), without the dummies.
+    """
+    if not len(cost) or not len(cost[0]):
+        return {}
+    n = max(len(cost), len(cost[0]))
+    mat = np.zeros((n, n))
+    mat[: len(cost), : len(cost[0])] = cost
+    tol = 1e-9 * (1.0 + float(np.abs(mat).max()) * n)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    totals = mat[np.arange(n)[None, :], perms].sum(axis=1)
+    best = perms[int(np.flatnonzero(totals <= totals.min() + tol)[0])]
+    return {r: int(best[r]) for r in range(len(cost)) if best[r] < len(cost[0])}
+
+
+def _reference_min_cost(mat, rows, cols):
+    """Minimal assignment cost covering every row (len(rows) <= len(cols))."""
+    n, m = len(rows), len(cols)
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    p = [0] * (m + 1)
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = math.inf
+            j1 = -1
+            crow = mat[rows[i0 - 1]]
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                cur = crow[cols[j - 1]] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    return sum(mat[rows[p[j] - 1]][cols[j - 1]] for j in range(1, m + 1) if p[j])
+
+
+def reference_hungarian(cost):
+    """The canonical assignment by re-solving once per (row, candidate column), O(n^5).
+
+    Row ``r`` takes the lowest remaining column whose cost plus the
+    optimal completion of the later rows is within ``1e-9 * scale`` of
+    the best such total.  Tall inputs get zero-cost dummy columns.
+    """
+    mat = [[float(v) for v in row] for row in cost]
+    n_rows = len(mat)
+    if n_rows == 0 or not mat[0]:
+        return {}
+    n_real = len(mat[0])
+    n_cols = max(n_real, n_rows)
+    for row in mat:
+        row.extend(0.0 for _ in range(n_cols - n_real))
+    scale = 1.0 + max(abs(v) for row in mat for v in row) * n_cols
+    tol = 1e-9 * scale
+    remaining = list(range(n_cols))
+    assignment = {}
+    for r in range(n_rows):
+        sub_rows = list(range(r + 1, n_rows))
+        totals = []
+        for c in remaining:
+            rest = [x for x in remaining if x != c]
+            completion = _reference_min_cost(mat, sub_rows, rest) if sub_rows else 0.0
+            totals.append(mat[r][c] + completion)
+        best = min(totals)
+        pick = next(i for i, t in enumerate(totals) if t <= best + tol)
+        assignment[r] = remaining.pop(pick)
+    return {r: c for r, c in assignment.items() if c < n_real}
+
+
 # ---------------------------------------------------------------------------
 # COCO-AP brute force
 

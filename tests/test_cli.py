@@ -185,6 +185,32 @@ def test_eval_mot_json_format(tmp_path):
     assert payload["video"] == "preds"
 
 
+def test_eval_mot_frame_log(tmp_path):
+    out = tmp_path / "scen"
+    assert run(["synth", "--out-dir", out, "--animals", 2, "--frames", 50,
+                "--width", 128, "--height", 128, "--radius", 6, "--speed", 3,
+                "--min-separation", 17, "--seed", 5,
+                "--p-fn", 0.1, "--p-fp", 0.1, "--n-ids", 1, "--noise", 0.5, "--perturb-seed", 7]) == 0
+    argv = ["eval-mot", "--gt", out / "gt.json", "--pred", out / "preds.jsonl"]
+    assert run(argv + ["--out", tmp_path / "plain.csv"]) == 0
+    assert run(argv + ["--out", tmp_path / "mot.csv", "--frame-log", tmp_path / "log.jsonl"]) == 0
+    assert (tmp_path / "mot.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    entries = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+    assert [e["frame"] for e in entries] == list(range(50))
+    assert all(list(e) == ["frame", "matches", "misses", "false_positives", "switches"] for e in entries)
+    _, n_frames, _, fn, fp, ids, _, _ = (tmp_path / "mot.csv").read_text().splitlines()[1].split(",")
+    assert sum(len(e["misses"]) for e in entries) == int(fn) > 0
+    assert sum(len(e["false_positives"]) for e in entries) == int(fp) > 0
+    assert sum(len(e["switches"]) for e in entries) == int(ids) > 0
+    gt_id, label, iou = entries[0]["matches"][0]
+    assert gt_id.startswith("animal_") and label.startswith("animal_") and 0.5 <= iou <= 1.0
+    # refused runs write nothing
+    assert run(argv + ["--out", tmp_path / "refused.csv", "--frame-log", tmp_path / "log.jsonl"]) == 1
+    assert run(argv + ["--out", tmp_path / "same.csv", "--frame-log", tmp_path / "same.csv"]) == 1
+    assert not (tmp_path / "refused.csv").exists() and not (tmp_path / "same.csv").exists()
+
+
 def test_track_interpolation_flag(tmp_path):
     out = tmp_path / "scen"
     assert run(["synth", "--out-dir", out, "--animals", 2, "--frames", 40,
@@ -206,6 +232,7 @@ def test_track_interpolation_flag(tmp_path):
         (lambda ann: ann.pop("id"), "annotation 0: missing field 'id'"),
         (lambda ann: ann.update(image_id="first"), "annotation 0: invalid image_id: "),
         (lambda ann: ann.update(id=True), "annotation 0: invalid id: expected an integer, got true"),
+        (lambda ann: ann.update(area=float("nan")), "annotation 0: invalid area: expected a finite number >= 0, got NaN"),
     ],
 )
 def test_eval_coco_malformed_gt_is_domain_error(tmp_path, capsys, edit, message):

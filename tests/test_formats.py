@@ -386,6 +386,15 @@ def test_coco_integer_fields_are_strict(section, kind, field, value):
         read_coco(json.dumps(doc))
 
 
+@pytest.mark.parametrize("value,shown", [(math.nan, "NaN"), (math.inf, "Infinity"), (-5, "-5")],
+                         ids=["nan", "infinity", "negative"])
+def test_coco_invalid_area_rejected(value, shown):
+    doc = _coco_doc()
+    doc["annotations"][1]["area"] = value
+    with pytest.raises(SchemaError, match=f"^annotation 1: invalid area: expected a finite number >= 0, got {shown}$"):
+        read_coco(json.dumps(doc))
+
+
 def test_coco_integral_float_reads_as_int():
     doc = _coco_doc()
     doc["images"][0]["height"] = float(doc["images"][0]["height"])

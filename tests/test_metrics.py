@@ -26,7 +26,13 @@ from segtrack.metrics import (
 )
 from segtrack.tracking import DetectionRecord, Track, TrackState, assemble_tracks
 
-from _oracles import brute_force_assignment_vec, coco_ap_oracle, random_ap_dataset
+from _oracles import (
+    brute_force_assignment_vec,
+    canonical_assignment_oracle,
+    coco_ap_oracle,
+    random_ap_dataset,
+    reference_hungarian,
+)
 
 
 def rect(x, y, w=10.0, h=10.0):
@@ -79,6 +85,75 @@ def test_hungarian_empty_and_single():
 def test_hungarian_rejects_nan():
     with pytest.raises(ValueError):
         hungarian([[1.0, float("nan")], [0.0, 1.0]])
+
+
+def test_hungarian_rejects_costs_too_large_to_compare():
+    # max|cost| * n overflows to inf, which would make every column a tie
+    with pytest.raises(ValueError, match="too large"):
+        hungarian([[1e308, 0.0], [0.0, 1e308]])
+    assert hungarian([[1e300, 0.0], [0.0, 1e300]]) == {0: 1, 1: 0}
+
+
+def _tie_prone_matrix(rng, kind, n_rows, n_cols):
+    shape = (n_rows, n_cols)
+    if kind == "uniform":
+        return rng.uniform(-5, 10, size=shape)
+    if kind == "integer":
+        return rng.integers(0, 4, size=shape).astype(float)
+    if kind == "tenths":
+        # ties whose float sums differ in the last bits, e.g. 0.1 + 0.2 against 0.3
+        return rng.integers(1, 10, size=shape) / 10
+    if kind == "iou":
+        # 1 - IoU: mostly disjoint pairs (cost exactly 1), the rest pixel-count fractions
+        union = rng.integers(20, 400, size=shape)
+        inter = rng.integers(1, union + 1)
+        return np.where(rng.random(shape) < 0.6, 1.0, 1.0 - inter / union)
+    return np.full(shape, float(rng.integers(0, 3)))
+
+
+_KINDS = ["uniform", "integer", "tenths", "iou", "equal"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_hungarian_canonical_ties_match_oracles(kind):
+    """2000 matrices up to 7x7 against enumeration, 250 up to 12x12 against the O(n^5) solver."""
+    rng = np.random.default_rng(_KINDS.index(kind))
+    for trial in range(450):
+        small = trial < 400
+        n_rows, n_cols = (int(k) for k in rng.integers(*((1, 8) if small else (8, 13)), size=2))
+        cost = _tie_prone_matrix(rng, kind, n_rows, n_cols).tolist()
+        got = hungarian(cost)
+        assert got == reference_hungarian(cost), cost
+        if small:
+            assert got == canonical_assignment_oracle(cost), cost
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_hungarian_tie_tolerance_is_on_the_total(n):
+    """Each diagonal cost is within the tie tolerance, their sum is not: the zero-cost cycle wins."""
+    cost = np.where(np.eye(n, k=1) + np.eye(n, k=1 - n) > 0, 0.0, 1.0 if n > 2 else 0.0)
+    np.fill_diagonal(cost, 0.75e-9 * (1.0 + np.abs(cost).max() * n))
+    cost = cost.tolist()
+    expected = {i: (i + 1) % n for i in range(n)}
+    assert hungarian(cost) == expected
+    assert reference_hungarian(cost) == expected
+    assert canonical_assignment_oracle(cost) == expected
+
+
+def test_hungarian_near_ties_match_reference():
+    """Small integers plus noise up to 1.5 tolerances: whole-cycle sums straddle the tolerance.
+
+    Here the old solver's rule, within tolerance of the best completion
+    given the rows already fixed, can part from the permutation oracle's
+    single tolerance on the total, so only the old solver is the reference.
+    """
+    rng = np.random.default_rng(7)
+    for trial in range(400):
+        n_rows, n_cols = (int(k) for k in rng.integers(*((1, 8) if trial < 350 else (8, 13)), size=2))
+        base = rng.integers(0, 3, size=(n_rows, n_cols)).astype(float)
+        tol = 1e-9 * (1.0 + base.max() * max(n_rows, n_cols))
+        cost = (base + rng.uniform(0, (0.2, 0.5, 0.9, 1.5)[trial % 4] * tol, size=base.shape)).tolist()
+        assert hungarian(cost) == reference_hungarian(cost), cost
 
 
 def test_hungarian_matches_brute_force():

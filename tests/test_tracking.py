@@ -303,3 +303,23 @@ def test_tracks_csv_covers_full_span():
 def test_tracks_csv_deterministic():
     tracks = assemble_tracks([det(0, "a"), det(1, "b", x=8)])
     assert write_tracks_csv(tracks) == write_tracks_csv(tracks)
+
+
+def test_tracks_csv_gaps_absent_and_interpolated_states():
+    b = Track("b", [
+        TrackState(5, True, Point(1.0, 2.0), 0.5),
+        TrackState(2, True, Point(0.5, 0.25), None),
+        TrackState(3, False),
+        TrackState(4, True, Point(0.75, 1.125), interpolated=True),
+    ])
+    a = Track("a", [TrackState(1, False), TrackState(3, True, None, 0.25), TrackState(6, True, Point(9.0, 9.5), 1.0)])
+    empty = Track("c", [])
+    assert write_tracks_csv([b, empty, a]).decode() == "\n".join([
+        "frame,label,present,cx,cy,score,interpolated",
+        "1,a,false,,,,false", "1,b,false,,,,false", "1,c,false,,,,false",
+        "2,a,false,,,,false", "2,b,true,0.5000,0.2500,,false", "2,c,false,,,,false",
+        "3,a,true,,,0.250000,false", "3,b,false,,,,false", "3,c,false,,,,false",
+        "4,a,false,,,,false", "4,b,true,0.7500,1.1250,,true", "4,c,false,,,,false",
+        "5,a,false,,,,false", "5,b,true,1.0000,2.0000,0.500000,false", "5,c,false,,,,false",
+        "6,a,true,9.0000,9.5000,1.000000,false", "6,b,false,,,,false", "6,c,false,,,,false",
+    ]) + "\n"
