@@ -11,17 +11,15 @@ generator that serves as the evaluation oracle.
 from .errors import SegtrackError
 from .geometry import (
     BoundingBox,
+    MultiPolygon,
     Point,
     Polygon,
     RleMask,
     bbox_iou,
-    centroid,
     mask_to_polygons,
     mask_to_rle,
     polygon_area,
-    polygon_bbox,
     rasterize,
-    rle_area,
     rle_iou,
     rle_to_mask,
     segmentation_iou,

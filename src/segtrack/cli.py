@@ -38,17 +38,20 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _check_writable(path: str, force: bool) -> Path:
-    target = Path(path)
-    if target.exists() and not force:
-        raise SegtrackError(f"refusing to overwrite {target} (use --force)")
-    return target
+def _check_writable(force: bool, *paths: str | None) -> None:
+    """Refuse, before any write, an existing target without ``--force`` or two targets naming one file."""
+    targets = [Path(p) for p in paths if p]
+    if len(targets) > 1 and len({t.resolve() for t in targets}) < len(targets):
+        raise SegtrackError(f"two outputs name the same file: {', '.join(map(str, targets))}")
+    for target in targets:
+        if target.exists() and not force:
+            raise SegtrackError(f"refusing to overwrite {target} (use --force)")
 
 
 def _write_output(path: str, data: bytes, force: bool) -> None:
-    target = _check_writable(path, force)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_bytes(data)
+    _check_writable(force, path)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_bytes(data)
 
 
 def _load(path: str, parser):
@@ -105,6 +108,7 @@ def _cmd_convert(args) -> None:
 
 
 def _cmd_split(args) -> None:
+    _check_writable(args.force, args.train_out, args.val_out)
     ds = _load(args.input, formats.read_coco)
     result = formats.split_dataset(ds, ratio=args.ratio, seed=args.seed)
     _write_output(args.train_out, formats.write_coco(result.train), args.force)
@@ -131,15 +135,11 @@ def _cmd_track(args) -> None:
 
 
 def _cmd_eval_mot(args) -> None:
+    _check_writable(args.force, args.out, args.frame_log)
     gt = _load(args.gt, formats.read_coco)
     gt_tracks = formats.coco_to_tracks(gt)
     pred_tracks = _load_pred_tracks(args.pred, args.score_threshold)
     cfg = MotConfig(iou_threshold=args.iou, denominator=args.denominator)
-    if args.frame_log:
-        # refuse before any output is written
-        if args.out and Path(args.out).resolve() == Path(args.frame_log).resolve():
-            raise SegtrackError(f"--out and --frame-log both name {args.out}")
-        _check_writable(args.frame_log, args.force)
     report = metrics.evaluate_mot(gt_tracks, pred_tracks, cfg)
     name = Path(args.pred).stem
     _emit(args.out, analytics.emit_report(report, format=args.format, name=name), args.force)
@@ -195,6 +195,7 @@ def _parse_zones(data: bytes) -> list[analytics.ZoneDefinition]:
 
 
 def _cmd_analyze(args) -> None:
+    _check_writable(args.force, args.out, args.interactions_out)
     tracks = _load(args.tracks, tracking.read_tracks_csv)
     zones = _load(args.zones, _parse_zones) if args.zones else []
     lines = []
@@ -236,6 +237,11 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_synth(args) -> None:
+    out = Path(args.out_dir)
+    gt_path, tracks_path, preds_path, log_path = (
+        str(out / name) for name in ("gt.json", "gt_tracks.csv", "preds.jsonl", "injection.json")
+    )
+    _check_writable(args.force, gt_path, tracks_path, preds_path, log_path)
     scenario = synth.ScenarioConfig(
         n_animals=args.animals,
         n_frames=args.frames,
@@ -254,20 +260,15 @@ def _cmd_synth(args) -> None:
         seed=args.perturb_seed,
     )
     preds, log = synth.perturb(tracks, pcfg, body_radius=args.radius)
-    out = Path(args.out_dir)
-    _write_output(str(out / "gt.json"), formats.write_coco(dataset), args.force)
-    _write_output(str(out / "gt_tracks.csv"), tracking.write_tracks_csv(tracks), args.force)
-    _write_output(str(out / "preds.jsonl"), formats.write_predictions(preds), args.force)
+    _write_output(gt_path, formats.write_coco(dataset), args.force)
+    _write_output(tracks_path, tracking.write_tracks_csv(tracks), args.force)
+    _write_output(preds_path, formats.write_predictions(preds), args.force)
     log_payload = {
         "fn_events": [[f, lbl] for f, lbl in log.fn_events],
         "fp_events": [[f, lbl] for f, lbl in log.fp_events],
         "ids_events": [[f, a, b] for f, a, b in log.ids_events],
     }
-    _write_output(
-        str(out / "injection.json"),
-        (json.dumps(log_payload, indent=2) + "\n").encode("utf-8"),
-        args.force,
-    )
+    _write_output(log_path, (json.dumps(log_payload, indent=2) + "\n").encode("utf-8"), args.force)
     _note(
         f"wrote scenario to {out} ({args.animals} animals, {args.frames} frames,"
         f" fn={log.fn_count} fp={log.fp_count} ids={log.ids_count})"

@@ -5,7 +5,8 @@ train/validation sets, reads and writes COCO JSON and JSON-Lines
 prediction streams, and samples frames for labeling.  Segmentations are
 accepted in all three COCO forms wherever one is read: polygon
 list-of-rings, uncompressed RLE ``{"size": [h, w], "counts": [..]}``,
-and compressed RLE with a counts string.
+and compressed RLE with a counts string.  One ring reads as a
+``Polygon`` and several as a ``MultiPolygon``; each is written back as rings.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     SegtrackError,
     brief_list,
 )
-from .geometry import BoundingBox, Point, Polygon, RleMask, Segmentation
+from .geometry import BoundingBox, MultiPolygon, Point, Polygon, RleMask, Segmentation
 from .tracking import DetectionRecord, Track, TrackState
 
 SHAPE_TYPES = ("polygon", "point")
@@ -210,15 +211,15 @@ def labelme_to_coco(docs: Sequence[LabelmeDocument], keypoint_radius: float = 5.
         for key in order:
             rings = groups[key]
             label = key[0]
-            seg: Segmentation = rings[0] if len(rings) == 1 else tuple(rings)
+            seg: Segmentation = rings[0] if len(rings) == 1 else MultiPolygon(rings)
             ds.annotations.append(
                 CocoAnnotation(
                     id=ann_id,
                     image_id=image_id,
                     category_id=cat_ids[label],
                     segmentation=seg,
-                    bbox=geometry.segmentation_bbox(seg),
-                    area=geometry.segmentation_area(seg),
+                    bbox=seg.bbox,
+                    area=seg.area,
                     iscrowd=0,
                 )
             )
@@ -303,8 +304,7 @@ def encode_segmentation(seg: Segmentation):
     """Canonical JSON form: rings as flat coordinate lists, masks as compressed RLE."""
     if isinstance(seg, RleMask):
         return {"size": [seg.height, seg.width], "counts": geometry.rle_encode_string(seg)}
-    rings = (seg,) if isinstance(seg, Polygon) else tuple(seg)
-    return [[coord for p in ring.points for coord in p] for ring in rings]
+    return [[coord for p in ring.points for coord in p] for ring in seg.rings]
 
 
 def decode_segmentation(form) -> Segmentation:
@@ -317,7 +317,7 @@ def decode_segmentation(form) -> Segmentation:
             if not isinstance(ring, list) or len(ring) < 6 or len(ring) % 2 != 0:
                 raise SchemaError(f"polygon ring must hold >=3 coordinate pairs, got {ring!r}")
             rings.append(Polygon.from_xy(list(zip(ring[0::2], ring[1::2]))))
-        return rings[0] if len(rings) == 1 else tuple(rings)
+        return rings[0] if len(rings) == 1 else MultiPolygon(rings)
     if isinstance(form, dict):
         size = form.get("size")
         counts = form.get("counts")
@@ -600,7 +600,7 @@ def coco_to_tracks(ds: CocoDataset) -> list[Track]:
             TrackState(
                 frame=frame,
                 present=True,
-                centroid=geometry.centroid(ann.segmentation),
+                centroid=ann.segmentation.centroid,
                 score=1.0,
                 segmentation=ann.segmentation,
             )

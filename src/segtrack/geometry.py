@@ -6,9 +6,10 @@ coordinates with the origin at the top-left corner, x rightward, y
 downward, so pixel ``(row, col)`` has its center at ``(col + 0.5,
 row + 0.5)``.  Run-length encodings flatten the mask in column-major
 order and always start with the length of the leading zero run
-(possibly 0).  An :class:`RleMask` derives its one-runs, area,
-centroid and bounding box from its counts on first use, once per mask;
-the helpers here read those values from the mask.
+(possibly 0).  A segmentation is a :class:`Polygon`, a
+:class:`MultiPolygon` or an :class:`RleMask`; each derives its ``area``,
+``bbox`` and ``centroid`` on first use and keeps them, ring values from
+the vertices.  Only :func:`segmentation_iou` branches on the form.
 
 Rasterization uses the even-odd rule tested at pixel centers with a
 half-open boundary convention: a center lying exactly on a left/top
@@ -35,7 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -67,7 +68,9 @@ class Polygon:
 
     Self-intersecting rings are accepted (see :func:`has_self_intersection`
     to detect them); rings with fewer than 3 vertices or non-finite
-    coordinates are rejected at construction.
+    coordinates are rejected at construction.  :attr:`area`, :attr:`bbox`
+    and :attr:`centroid` are derived from the vertices on first use and
+    kept with the ring; they take no part in ``==`` or ``hash``.
     """
 
     points: tuple[Point, ...]
@@ -91,6 +94,87 @@ class Polygon:
 
     def translated(self, dx: float, dy: float) -> "Polygon":
         return Polygon(tuple(Point(p.x + dx, p.y + dy) for p in self.points))
+
+    @property
+    def rings(self) -> tuple["Polygon"]:
+        """The ring itself, so one ring reads like a :class:`MultiPolygon`."""
+        return (self,)
+
+    @cached_property
+    def area(self) -> float:
+        """Unsigned area of the ring (shoelace formula); orientation-independent."""
+        pts = self.as_array()
+        x, y = pts[:, 0], pts[:, 1]
+        x2, y2 = np.roll(x, -1), np.roll(y, -1)
+        return abs(float(np.sum(x * y2 - x2 * y))) / 2.0
+
+    @cached_property
+    def bbox(self) -> BoundingBox:
+        """Tight axis-aligned bounds of the vertices."""
+        pts = self.as_array()
+        x0, y0 = pts.min(axis=0)
+        x1, y1 = pts.max(axis=0)
+        return BoundingBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
+
+    @cached_property
+    def centroid(self) -> Point:
+        """Area-weighted centroid of the ring; the vertex mean when the ring has no area."""
+        pts = self.as_array()
+        x, y = pts[:, 0], pts[:, 1]
+        x2, y2 = np.roll(x, -1), np.roll(y, -1)
+        cross = x * y2 - x2 * y
+        a = float(np.sum(cross)) / 2.0
+        if abs(a) < 1e-12:
+            return Point(float(np.mean(x)), float(np.mean(y)))
+        cx = float(np.sum((x + x2) * cross)) / (6.0 * a)
+        cy = float(np.sum((y + y2) * cross)) / (6.0 * a)
+        return Point(cx, cy)
+
+
+@dataclass(frozen=True)
+class MultiPolygon:
+    """Rings forming one instance, such as an occluded animal drawn in parts; iterates as its rings.
+
+    The centroid weights each ring's centroid by its area; with no area it is the vertex mean.
+    """
+
+    rings: tuple[Polygon, ...]
+
+    def __post_init__(self) -> None:
+        rings = tuple(self.rings)
+        if not rings:
+            raise EmptySegmentationError("empty segmentation")
+        object.__setattr__(self, "rings", rings)
+
+    def __iter__(self) -> Iterator[Polygon]:
+        return iter(self.rings)
+
+    def __len__(self) -> int:
+        return len(self.rings)
+
+    @cached_property
+    def area(self) -> float:
+        return sum(r.area for r in self.rings)
+
+    @cached_property
+    def bbox(self) -> BoundingBox:
+        boxes = [r.bbox for r in self.rings]
+        x0 = min(b.x for b in boxes)
+        y0 = min(b.y for b in boxes)
+        x1 = max(b.x + b.w for b in boxes)
+        y1 = max(b.y + b.h for b in boxes)
+        return BoundingBox(x0, y0, x1 - x0, y1 - y0)
+
+    @cached_property
+    def centroid(self) -> Point:
+        total = self.area
+        if total == 0.0:
+            pts = np.concatenate([r.as_array() for r in self.rings])
+            return Point(float(pts[:, 0].mean()), float(pts[:, 1].mean()))
+        return Point(
+            sum(r.area * r.centroid.x for r in self.rings) / total,
+            sum(r.area * r.centroid.y for r in self.rings) / total,
+        )
 
 
 def _run_length(count) -> int:
@@ -197,9 +281,7 @@ class RleMask:
         return self._centroid_and_bbox[1]
 
 
-# A segmentation is a single ring, several rings (union of parts of one
-# instance), or a run-length mask.
-Segmentation = Union[Polygon, tuple, RleMask]
+Segmentation = Union[Polygon, MultiPolygon, RleMask]
 
 
 # ---------------------------------------------------------------------------
@@ -207,25 +289,14 @@ Segmentation = Union[Polygon, tuple, RleMask]
 
 
 def polygon_area(p: Polygon) -> float:
-    """Unsigned area of the ring (shoelace formula); orientation-independent."""
-    pts = p.as_array()
-    x, y = pts[:, 0], pts[:, 1]
-    x2, y2 = np.roll(x, -1), np.roll(y, -1)
-    return abs(float(np.sum(x * y2 - x2 * y))) / 2.0
+    """Unsigned area of the ring (shoelace formula): :attr:`Polygon.area`."""
+    return p.area
 
 
 def polygon_perimeter(p: Polygon) -> float:
     pts = p.as_array()
     d = np.roll(pts, -1, axis=0) - pts
     return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-
-
-def polygon_bbox(p: Polygon) -> BoundingBox:
-    """Tight axis-aligned bounds of the vertices."""
-    pts = p.as_array()
-    x0, y0 = pts.min(axis=0)
-    x1, y1 = pts.max(axis=0)
-    return BoundingBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
 
 
 def polygon_contains(p: Polygon, point: Sequence[float]) -> bool:
@@ -377,11 +448,6 @@ def rle_to_mask(r: RleMask) -> np.ndarray:
     values[1::2] = True
     flat = np.repeat(values, counts)
     return flat.reshape((r.height, r.width), order="F")
-
-
-def rle_area(r: RleMask) -> int:
-    """Number of set pixels (sum of the one-runs)."""
-    return r.area
 
 
 def rle_encode_string(r: RleMask) -> str:
@@ -680,71 +746,7 @@ def simplify_polygon(p: Polygon, epsilon: float) -> Polygon:
 
 
 # ---------------------------------------------------------------------------
-# centroids and segmentation helpers
-
-
-def _polygon_centroid(p: Polygon) -> Point:
-    pts = p.as_array()
-    x, y = pts[:, 0], pts[:, 1]
-    x2, y2 = np.roll(x, -1), np.roll(y, -1)
-    cross = x * y2 - x2 * y
-    a = float(np.sum(cross)) / 2.0
-    if abs(a) < 1e-12:  # degenerate ring: fall back to the vertex mean
-        return Point(float(np.mean(x)), float(np.mean(y)))
-    cx = float(np.sum((x + x2) * cross)) / (6.0 * a)
-    cy = float(np.sum((y + y2) * cross)) / (6.0 * a)
-    return Point(cx, cy)
-
-
-def centroid(seg: Segmentation) -> Point:
-    """Centroid of a segmentation.
-
-    Masks use the mean of set-pixel centers; rings use the
-    area-weighted ring centroid (multi-ring segmentations weight each
-    ring by its area).
-    """
-    if isinstance(seg, RleMask):
-        return seg.centroid
-    if isinstance(seg, Polygon):
-        return _polygon_centroid(seg)
-    rings = tuple(seg)
-    if not rings:
-        raise EmptySegmentationError("empty segmentation")
-    weights = [polygon_area(r) for r in rings]
-    total = sum(weights)
-    if total == 0.0:
-        pts = np.concatenate([r.as_array() for r in rings])
-        return Point(float(pts[:, 0].mean()), float(pts[:, 1].mean()))
-    cs = [_polygon_centroid(r) for r in rings]
-    return Point(
-        sum(w * c.x for w, c in zip(weights, cs)) / total,
-        sum(w * c.y for w, c in zip(weights, cs)) / total,
-    )
-
-
-def segmentation_area(seg: Segmentation) -> float:
-    if isinstance(seg, RleMask):
-        return float(seg.area)
-    if isinstance(seg, Polygon):
-        return polygon_area(seg)
-    return float(sum(polygon_area(r) for r in seg))
-
-
-def segmentation_bbox(seg: Segmentation) -> BoundingBox:
-    if isinstance(seg, Polygon):
-        return polygon_bbox(seg)
-    if isinstance(seg, RleMask):
-        return seg.bbox
-    boxes = [polygon_bbox(r) for r in seg]
-    x0 = min(b.x for b in boxes)
-    y0 = min(b.y for b in boxes)
-    x1 = max(b.x + b.w for b in boxes)
-    y1 = max(b.y + b.h for b in boxes)
-    return BoundingBox(x0, y0, x1 - x0, y1 - y0)
-
-
-def _rings(seg: Segmentation) -> tuple[Polygon, ...]:
-    return (seg,) if isinstance(seg, Polygon) else tuple(seg)
+# segmentation IoU
 
 
 def _rle_columns(r: RleMask, c_lo: int, c_hi: int) -> np.ndarray:
@@ -792,21 +794,18 @@ def segmentation_iou(a: Segmentation, b: Segmentation) -> float:
     window covering both shapes, which preserves the pixel-center rule
     exactly.
     """
-    if isinstance(a, RleMask) and isinstance(b, RleMask):
-        return rle_iou(a, b)
     if isinstance(a, RleMask):
-        return _polygon_rle_iou(_rings(b), a)
+        return rle_iou(a, b) if isinstance(b, RleMask) else _polygon_rle_iou(b.rings, a)
     if isinstance(b, RleMask):
-        return _polygon_rle_iou(_rings(a), b)
-    ba = segmentation_bbox(a)
-    bb = segmentation_bbox(b)
+        return _polygon_rle_iou(a.rings, b)
+    ba, bb = a.bbox, b.bbox
     x0 = math.floor(min(ba.x, bb.x)) - 1
     y0 = math.floor(min(ba.y, bb.y)) - 1
     x1 = math.ceil(max(ba.x + ba.w, bb.x + bb.w)) + 1
     y1 = math.ceil(max(ba.y + ba.h, bb.y + bb.h)) + 1
     h, w = max(1, y1 - y0), max(1, x1 - x0)
-    ma = _rings_to_window(_rings(a), x0, y0, h, w)
-    mb = _rings_to_window(_rings(b), x0, y0, h, w)
+    ma = _rings_to_window(a.rings, x0, y0, h, w)
+    mb = _rings_to_window(b.rings, x0, y0, h, w)
     inter = int(np.count_nonzero(ma & mb))
     union = int(np.count_nonzero(ma | mb))
     return inter / union if union else 0.0

@@ -517,7 +517,7 @@ def evaluate_coco_ap(
                 [geometry.segmentation_iou(det.segmentation, ann.segmentation) for ann in g]
                 for _, det in d
             ]
-            d_areas = [geometry.segmentation_area(det.segmentation) for _, det in d]
+            d_areas = [det.segmentation.area for _, det in d]
             units.append((g, ious, d_areas))
             dets += d
         by_score = sorted(range(len(dets)), key=lambda j: (-dets[j][1].score, dets[j][0]))

@@ -207,7 +207,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[Track], CocoDataset]:
                 TrackState(
                     frame=f,
                     present=True,
-                    centroid=geometry.centroid(rle),
+                    centroid=rle.centroid,
                     score=1.0,
                     segmentation=rle,
                 )
@@ -219,7 +219,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[Track], CocoDataset]:
                     category_id=cat_id[labels[i]],
                     segmentation=rle,
                     bbox=bbox,
-                    area=float(geometry.rle_area(rle)),
+                    area=float(rle.area),
                     iscrowd=0,
                 )
             )
@@ -259,7 +259,7 @@ def perturb(
     first_seg = states[min(states)].segmentation
     height, width = first_seg.height, first_seg.width
     if body_radius is None:
-        mean_area = float(np.mean([geometry.rle_area(s.segmentation) for s in states.values()]))
+        mean_area = float(np.mean([s.segmentation.area for s in states.values()]))
         body_radius = math.sqrt(mean_area / math.pi)
 
     if cfg.n_ids > 0 and len(labels) < 2:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import geometry
 from .geometry import BoundingBox, Point, Segmentation
 
 
@@ -126,7 +125,7 @@ def resolve_duplicates(frame_dets: Sequence[DetectionRecord]) -> list[DetectionR
         raise ValueError(f"records span multiple frames: {sorted(frames)}")
     best: dict[str, tuple[int, DetectionRecord, float]] = {}
     for i, det in enumerate(frame_dets):
-        area = geometry.segmentation_area(det.segmentation)
+        area = det.segmentation.area
         prev = best.get(det.label)
         if prev is None:
             best[det.label] = (i, det, area)
@@ -156,7 +155,7 @@ def assemble_tracks(dets: Sequence[DetectionRecord]) -> list[Track]:
             TrackState(
                 frame=d.frame,
                 present=True,
-                centroid=geometry.centroid(d.segmentation),
+                centroid=d.segmentation.centroid,
                 score=d.score,
                 segmentation=d.segmentation,
             )
@@ -181,7 +180,7 @@ def tracks_to_detections(tracks: Sequence[Track]) -> list[DetectionRecord]:
                     label=track.label,
                     score=s.score if s.score is not None else 1.0,
                     segmentation=s.segmentation,
-                    bbox=geometry.segmentation_bbox(s.segmentation),
+                    bbox=s.segmentation.bbox,
                 )
             )
     return out
@@ -252,7 +251,7 @@ def detect_novel_spots(
     candidates: list[list] = []
 
     for det in sorted(dets, key=lambda d: d.frame):
-        c = geometry.centroid(det.segmentation)
+        c = det.segmentation.centroid
         if any(math.dist(c, s) < min_dist for s in confirmed):
             continue
         nearest = None

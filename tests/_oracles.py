@@ -295,7 +295,7 @@ def random_ap_dataset(seed, max_images=20, max_dets_per_image=10, canvas=160, st
     do not depend on it.
     """
     from segtrack.formats import CocoAnnotation, CocoCategory, CocoDataset, CocoImage
-    from segtrack.geometry import mask_to_rle, segmentation_bbox
+    from segtrack.geometry import mask_to_rle
     from segtrack.tracking import DetectionRecord
 
     rng = np.random.default_rng(seed)
@@ -345,7 +345,7 @@ def random_ap_dataset(seed, max_images=20, max_dets_per_image=10, canvas=160, st
             ds.annotations.append(
                 CocoAnnotation(
                     id=ann_id, image_id=i + 1, category_id=cat, segmentation=seg,
-                    bbox=segmentation_bbox(seg), area=float(w * h), iscrowd=0,
+                    bbox=seg.bbox, area=float(w * h), iscrowd=0,
                 )
             )
             ann_id += 1
@@ -358,7 +358,7 @@ def random_ap_dataset(seed, max_images=20, max_dets_per_image=10, canvas=160, st
                 preds.append(
                     DetectionRecord(
                         frame=i, label=label, score=score(),
-                        segmentation=dseg, bbox=segmentation_bbox(dseg),
+                        segmentation=dseg, bbox=dseg.bbox,
                     )
                 )
                 n_dets += 1
@@ -371,7 +371,7 @@ def random_ap_dataset(seed, max_images=20, max_dets_per_image=10, canvas=160, st
                 DetectionRecord(
                     frame=i, label=names[int(rng.integers(0, len(names)))],
                     score=score(),
-                    segmentation=seg, bbox=segmentation_bbox(seg),
+                    segmentation=seg, bbox=seg.bbox,
                 )
             )
             n_dets += 1

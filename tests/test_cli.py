@@ -61,6 +61,17 @@ def test_convert_then_split(tmp_path):
     assert len(read_coco(val.read_bytes()).images) == 1
 
 
+def test_split_refused_target_writes_nothing(tmp_path):
+    coco = tmp_path / "coco.json"
+    assert run(["convert", "--labelme-dir", write_labelme_dir(tmp_path), "--out", coco]) == 0
+    train, val = tmp_path / "train.json", tmp_path / "val.json"
+    val.write_text("old")
+    assert run(["split", "--in", coco, "--train-out", train, "--val-out", val]) == 1
+    assert not train.exists() and val.read_text() == "old"
+    assert run(["split", "--in", coco, "--train-out", train, "--val-out", train, "--force"]) == 1
+    assert not train.exists()
+
+
 def test_convert_refuses_overwrite(tmp_path):
     labels = write_labelme_dir(tmp_path)
     coco = tmp_path / "coco.json"
@@ -113,6 +124,26 @@ def test_synth_deterministic(tmp_path):
     b = _make_scenario(tmp_path / "b")
     for name in ("gt.json", "gt_tracks.csv", "preds.jsonl", "injection.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_synth_refused_target_writes_nothing(tmp_path):
+    out = tmp_path / "scen"
+    out.mkdir()
+    (out / "preds.jsonl").write_text("old")
+    assert run(["synth", "--out-dir", out, "--animals", 2, "--frames", 5]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["preds.jsonl"]
+    assert (out / "preds.jsonl").read_text() == "old"
+
+
+def test_analyze_refused_target_writes_nothing(tmp_path):
+    tracks_csv = tmp_path / "tracks.csv"
+    assert run(["track", "--pred", _make_scenario(tmp_path) / "preds.jsonl", "--out", tracks_csv]) == 0
+    stats, inter = tmp_path / "stats.csv", tmp_path / "inter.csv"
+    inter.write_text("old")
+    assert run(["analyze", "--tracks", tracks_csv, "--out", stats, "--interactions-out", inter]) == 1
+    assert not stats.exists() and inter.read_text() == "old"
+    assert run(["analyze", "--tracks", tracks_csv, "--out", stats, "--interactions-out", stats, "--force"]) == 1
+    assert not stats.exists()
 
 
 def test_track_eval_plot_pipeline(tmp_path):

@@ -34,7 +34,7 @@ from segtrack.formats import (
     write_coco,
     write_predictions,
 )
-from segtrack.geometry import Point, Polygon, RleMask, centroid, polygon_area
+from segtrack.geometry import MultiPolygon, Point, Polygon, RleMask, polygon_area
 
 
 def labelme_json(name="frame_000.png", shapes=None, **extra):
@@ -122,7 +122,7 @@ def test_keypoint_region_is_regular_16gon():
 
 def test_keypoint_region_centroid_at_center():
     poly = keypoint_to_region(Point(50, 50), 5.0)
-    assert centroid(poly) == pytest.approx((50.0, 50.0), abs=1e-9)
+    assert poly.centroid == pytest.approx((50.0, 50.0), abs=1e-9)
 
 
 def test_keypoint_region_rejects_zero_radius():
@@ -172,7 +172,7 @@ def test_convert_group_id_merges_rings():
     ds = labelme_to_coco([parse_labelme(labelme_json("a.png", shapes))])
     assert len(ds.annotations) == 2
     merged = ds.annotations[0]
-    assert isinstance(merged.segmentation, tuple) and len(merged.segmentation) == 2
+    assert isinstance(merged.segmentation, MultiPolygon) and len(merged.segmentation) == 2
     assert merged.area == pytest.approx(100.0 + 16.0)
     assert tuple(merged.bbox) == (10.0, 10.0, 34.0, 34.0)
 
@@ -430,7 +430,7 @@ def test_coco_duplicate_ids_message():
 def test_segmentation_forms_roundtrip():
     ring = Polygon.from_xy(SQUARE_PTS)
     assert decode_segmentation(encode_segmentation(ring)) == ring
-    multi = (ring, Polygon.from_xy([(0, 0), (2, 0), (2, 2), (0, 2)]))
+    multi = MultiPolygon([ring, Polygon.from_xy([(0, 0), (2, 0), (2, 2), (0, 2)])])
     assert decode_segmentation(encode_segmentation(multi)) == multi
     rle = RleMask(4, 4, (3, 2, 11))
     assert decode_segmentation(encode_segmentation(rle)) == rle

@@ -15,25 +15,22 @@ from segtrack.errors import (
 )
 from segtrack.geometry import (
     BoundingBox,
+    MultiPolygon,
     Point,
     Polygon,
     RleMask,
     bbox_iou,
-    centroid,
     has_self_intersection,
     mask_to_polygons,
     mask_to_rle,
     polygon_area,
-    polygon_bbox,
     polygon_contains,
     polygon_perimeter,
     rasterize,
-    rle_area,
     rle_decode_string,
     rle_encode_string,
     rle_iou,
     rle_to_mask,
-    segmentation_bbox,
     segmentation_iou,
     simplify_polygon,
 )
@@ -76,18 +73,18 @@ def test_area_orientation_independent():
 
 
 def test_triangle_bbox():
-    assert polygon_bbox(TRIANGLE) == BoundingBox(0, 0, 4, 3)
+    assert TRIANGLE.bbox == BoundingBox(0, 0, 4, 3)
 
 
 def test_bbox_degenerate_repeated_vertex():
     p = Polygon.from_xy([(5, 7), (5, 7), (5, 7)])
-    assert polygon_bbox(p) == BoundingBox(5, 7, 0, 0)
+    assert p.bbox == BoundingBox(5, 7, 0, 0)
 
 
 def test_bbox_translation_equivariance():
     shifted = TRIANGLE.translated(10, 20)
-    bx = polygon_bbox(TRIANGLE)
-    assert polygon_bbox(shifted) == BoundingBox(bx.x + 10, bx.y + 20, bx.w, bx.h)
+    bx = TRIANGLE.bbox
+    assert shifted.bbox == BoundingBox(bx.x + 10, bx.y + 20, bx.w, bx.h)
 
 
 def test_self_intersection_flag():
@@ -191,7 +188,7 @@ def test_rle_fractional_counts_rejected(counts):
 def test_rle_area_counts_set_pixels():
     rng = np.random.default_rng(5)
     m = rng.random((17, 23)) < 0.4
-    assert rle_area(mask_to_rle(m)) == int(m.sum())
+    assert mask_to_rle(m).area == int(m.sum())
 
 
 # hand-derived compressed-string vectors: each value below was produced by
@@ -469,20 +466,20 @@ def test_simplify_output_is_subsequence_with_bounded_deviation():
 
 
 def test_unit_square_centroid():
-    assert centroid(SQUARE) == pytest.approx((0.5, 0.5))
+    assert SQUARE.centroid == pytest.approx((0.5, 0.5))
 
 
 def test_single_pixel_mask_centroid():
     m = np.zeros((5, 5), dtype=bool)
     m[2, 3] = True
-    assert centroid(mask_to_rle(m)) == Point(3.5, 2.5)
+    assert mask_to_rle(m).centroid == Point(3.5, 2.5)
 
 
 def test_two_pixel_mask_centroid():
     m = np.zeros((3, 3), dtype=bool)
     m[0, 0] = True
     m[0, 2] = True
-    assert centroid(mask_to_rle(m)) == Point(1.5, 0.5)
+    assert mask_to_rle(m).centroid == Point(1.5, 0.5)
 
 
 def test_mask_centroid_matches_pixel_mean():
@@ -493,13 +490,13 @@ def test_mask_centroid_matches_pixel_mean():
             continue
         rows, cols = np.nonzero(m)
         want = Point(float(cols.mean() + 0.5), float(rows.mean() + 0.5))
-        got = centroid(mask_to_rle(m))
+        got = mask_to_rle(m).centroid
         assert got == pytest.approx(want)
 
 
 def test_empty_mask_centroid_raises():
     with pytest.raises(EmptySegmentationError):
-        centroid(mask_to_rle(np.zeros((3, 3), dtype=bool)))
+        mask_to_rle(np.zeros((3, 3), dtype=bool)).centroid
 
 
 @pytest.mark.parametrize(
@@ -511,7 +508,7 @@ def test_empty_mask_centroid_raises():
 )
 def test_zero_length_one_runs_take_no_part(counts, want):
     r = RleMask(4, 4, counts)
-    assert segmentation_bbox(r) == want
+    assert r.bbox == want
     assert all(s < e for s, e in zip(*r.runs))
 
 
@@ -543,9 +540,9 @@ def test_rle_derived_values_match_dense_reference(r):
     starts, ends = r.runs
     assert all(s < e for s, e in zip(starts, ends))
     assert [k for s, e in zip(starts, ends) for k in range(s, e)] == np.flatnonzero(m.reshape(-1, order="F")).tolist()
-    assert r.area == rle_area(r) == area
+    assert r.area == area
     if area:
-        assert r.centroid == centroid(r) == Point(int(cols.sum()) / area + 0.5, int(rows.sum()) / area + 0.5)
+        assert r.centroid == Point(int(cols.sum()) / area + 0.5, int(rows.sum()) / area + 0.5)
         c0, c1, r0, r1 = int(cols.min()), int(cols.max()), int(rows.min()), int(rows.max())
         assert r.bbox == BoundingBox(float(c0), float(r0), float(c1 - c0 + 1), float(r1 - r0 + 1))
     else:
@@ -553,6 +550,43 @@ def test_rle_derived_values_match_dense_reference(r):
             r.centroid
         assert r.bbox == BoundingBox(0.0, 0.0, 0.0, 0.0)
     assert r == twin and hash(r) == hash(twin) == before
+
+
+# ---------------------------------------------------------------------------
+# multi-ring segmentations
+
+BIG_SQUARE = Polygon.from_xy([(0, 0), (2, 0), (2, 2), (0, 2)])  # area 4, centroid (1, 1)
+SMALL_SQUARE = Polygon.from_xy([(4, 0), (5, 0), (5, 1), (4, 1)])  # area 1, centroid (4.5, 0.5)
+
+
+def test_multipolygon_weights_ring_centroids_by_area():
+    seg = MultiPolygon([BIG_SQUARE, SMALL_SQUARE])
+    assert seg.rings == (BIG_SQUARE, SMALL_SQUARE)
+    assert len(seg) == 2 and list(seg) == [BIG_SQUARE, SMALL_SQUARE]
+    assert seg.area == 5.0
+    assert seg.centroid == Point(1.7, 0.9)  # (4 * (1, 1) + 1 * (4.5, 0.5)) / 5
+    assert seg.bbox == BoundingBox(0.0, 0.0, 5.0, 2.0)
+
+
+def test_multipolygon_of_degenerate_rings_takes_the_vertex_mean():
+    seg = MultiPolygon([Polygon.from_xy([(0, 0), (1, 1), (2, 2)]), Polygon.from_xy([(4, 0), (4, 1), (4, 2)])])
+    assert seg.area == 0.0
+    assert seg.centroid == Point(2.5, 1.0)  # mean of all six vertices
+    assert seg.bbox == BoundingBox(0.0, 0.0, 4.0, 2.0)
+    with pytest.raises(EmptySegmentationError):
+        MultiPolygon(())
+
+
+def test_multipolygon_polygon_iou_matches_dense_reference():
+    ring_a = [(1.3, 2.2), (9.7, 1.6), (8.1, 8.9), (2.4, 7.5)]
+    ring_b = [(12.5, 3.0), (17.2, 4.4), (14.0, 9.6)]
+    other = [(4.1, 0.7), (15.8, 2.9), (13.3, 11.2), (5.5, 10.4)]
+    seg = MultiPolygon([Polygon.from_xy(ring_a), Polygon.from_xy(ring_b)])
+    poly = Polygon.from_xy(other)
+    # the 14x20 frame holds every vertex, so the references lose no pixel
+    want = dense_iou(raster_oracle(ring_a, 14, 20) | raster_oracle(ring_b, 14, 20), raster_oracle(other, 14, 20))
+    assert 0.0 < want < 1.0
+    assert segmentation_iou(seg, poly) == segmentation_iou(poly, seg) == want
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +621,7 @@ _rings = st.lists(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=7), m
 @example(rings=[[(0, 0), (5, 0), (5, 5), (0, 5)], [(3, 3), (9, 3), (9, 9)]], height=8, width=8, mask_seed=3, density=0.5)
 def test_segmentation_iou_mixed_equals_full_frame_reference(rings, height, width, mask_seed, density):
     polys = [Polygon.from_xy(r) for r in rings]
-    seg = polys[0] if len(polys) == 1 else tuple(polys)
+    seg = polys[0] if len(polys) == 1 else MultiPolygon(polys)
     rle = mask_to_rle(np.random.default_rng(mask_seed).random((height, width)) < density)
     dense_poly = np.zeros((height, width), dtype=bool)
     for r in rings:

@@ -13,7 +13,7 @@ from segtrack.formats import (
     CocoDataset,
     CocoImage,
 )
-from segtrack.geometry import Polygon, mask_to_rle, segmentation_bbox
+from segtrack.geometry import Polygon, mask_to_rle
 from segtrack.metrics import (
     ApReport,
     MotConfig,
@@ -368,7 +368,7 @@ def _gt_ann(ds, image_id, cat_id, x, y, w, h):
             image_id=image_id,
             category_id=cat_id,
             segmentation=seg,
-            bbox=segmentation_bbox(seg),
+            bbox=seg.bbox,
             area=float(w * h),
             iscrowd=0,
         )
@@ -378,7 +378,7 @@ def _gt_ann(ds, image_id, cat_id, x, y, w, h):
 
 def _det(frame, label, score, x, y, w, h):
     seg = rect_rle(x, y, w, h)
-    return DetectionRecord(frame=frame, label=label, score=score, segmentation=seg, bbox=segmentation_bbox(seg))
+    return DetectionRecord(frame=frame, label=label, score=score, segmentation=seg, bbox=seg.bbox)
 
 
 def test_ap_perfect_detector():

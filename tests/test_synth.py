@@ -5,7 +5,7 @@ import pytest
 
 from segtrack.errors import ConfigError
 from segtrack.formats import write_coco
-from segtrack.geometry import mask_to_rle, rle_area, rle_iou, rle_to_mask
+from segtrack.geometry import mask_to_rle, rle_iou, rle_to_mask
 from segtrack.metrics import MotConfig, evaluate_mot
 from segtrack.synth import (
     InjectionLog,
@@ -52,7 +52,7 @@ def test_disc_matches_dense_pixel_rule():
 
 def test_disc_outside_grid_is_empty():
     rle, bbox = disc_mask(500, 500, 5, 32, 32)
-    assert rle_area(rle) == 0
+    assert rle.area == 0
     assert bbox == (0, 0, 0, 0)
 
 
