@@ -59,14 +59,14 @@ class TrajectoryStats:
 
 
 def distance_traveled(track: Track, px_per_unit: float = 1.0) -> float:
-    """Total path length through present-state centroids.
+    """Total path length through the states' centroids.
 
     Absence gaps contribute the straight-line step across the gap, a
     conservative lower bound on the real path.
     """
     if px_per_unit <= 0:
         raise ValueError(f"px_per_unit must be > 0, got {px_per_unit}")
-    pts = [s.centroid for s in track.present_states() if s.centroid is not None]
+    pts = [c for c in (s.centroid for s in track.states) if c is not None]
     total = 0.0
     for a, b in zip(pts, pts[1:]):
         total += math.dist(a, b)
@@ -75,13 +75,13 @@ def distance_traveled(track: Track, px_per_unit: float = 1.0) -> float:
 
 def track_stats(track: Track, px_per_unit: float = 1.0) -> TrajectoryStats:
     """Distance, presence count, and mean speed over the active frame span."""
-    present = track.present_frames()
+    frames = track.present_frames()
     dist = distance_traveled(track, px_per_unit)
-    span = present[-1] - present[0] if len(present) > 1 else 0
+    span = frames[-1] - frames[0] if len(frames) > 1 else 0
     return TrajectoryStats(
         label=track.label,
         distance_traveled=dist,
-        frames_present=len(present),
+        frames_present=len(frames),
         mean_speed=dist / span if span else 0.0,
     )
 
@@ -91,19 +91,19 @@ def zone_occupancy(track: Track, zones: Sequence[ZoneDefinition]) -> dict[str, Z
 
     A state counts toward the first listed zone containing its centroid
     (even-odd test); centroids in no zone land in the ``outside``
-    bucket.  Fractions are over present frames and sum to 1.
+    bucket.  Fractions are over the states with a centroid and sum to 1.
     """
     counts = {z.name: 0 for z in zones}
     counts[OUTSIDE_ZONE] = counts.get(OUTSIDE_ZONE, 0)
-    present = [s for s in track.present_states() if s.centroid is not None]
-    for state in present:
+    points = [c for c in (s.centroid for s in track.states) if c is not None]
+    for point in points:
         for zone in zones:
-            if polygon_contains(zone.region, state.centroid):
+            if polygon_contains(zone.region, point):
                 counts[zone.name] += 1
                 break
         else:
             counts[OUTSIDE_ZONE] += 1
-    n = len(present)
+    n = len(points)
     return {name: ZoneStats(c, c / n if n else 0.0) for name, c in counts.items()}
 
 
@@ -144,9 +144,10 @@ def interaction_events(
         sa, sb = a.state_at(frame), b.state_at(frame)
         if criterion == "mask_iou":
             return geometry.segmentation_iou(sa.segmentation, sb.segmentation) >= threshold
-        if sa.centroid is None or sb.centroid is None:
+        ca, cb = sa.centroid, sb.centroid
+        if ca is None or cb is None:
             return False
-        return math.dist(sa.centroid, sb.centroid) <= threshold
+        return math.dist(ca, cb) <= threshold
 
     labels = tuple(sorted((a.label, b.label)))
     events = []
@@ -276,7 +277,7 @@ def plot_trajectories(tracks: Sequence[Track], width: int, height: int) -> bytes
     ]
     ordered = sorted(tracks, key=lambda t: t.label)
     for track in ordered:
-        pts = [s.centroid for s in track.present_states() if s.centroid is not None]
+        pts = [c for c in (s.centroid for s in track.states) if c is not None]
         color = label_color(track.label)
         if len(pts) >= 2:
             coords = " ".join(f"{p.x:.2f},{p.y:.2f}" for p in pts)

@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analytics, formats, metrics, synth, tracking
@@ -49,9 +48,19 @@ def _check_writable(force: bool, *paths: str | None) -> None:
 
 
 def _write_output(path: str, data: bytes, force: bool) -> None:
+    """Write through a temp file beside the target, so a failed write leaves the target as it was."""
     _check_writable(force, path)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes(data)
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies, as to a plain open
+    try:
+        with open(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 def _load(path: str, parser):
@@ -93,15 +102,7 @@ def _cmd_convert(args) -> None:
     paths = sorted(Path(args.labelme_dir).glob("*.json"))
     if not paths:
         raise SegtrackError(f"no labelme .json files in {args.labelme_dir}")
-
-    def parse_doc(p: Path):
-        return _load(str(p), formats.parse_labelme)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            docs = list(pool.map(parse_doc, paths))
-    else:
-        docs = [parse_doc(p) for p in paths]
+    docs = [_load(str(p), formats.parse_labelme) for p in paths]
     ds = formats.labelme_to_coco(docs, keypoint_radius=args.keypoint_radius)
     _write_output(args.out, formats.write_coco(ds), args.force)
     _note(f"wrote {args.out} ({len(ds.images)} images, {len(ds.annotations)} annotations)")
@@ -148,23 +149,16 @@ def _cmd_eval_mot(args) -> None:
         _write_output(args.frame_log, lines.encode("utf-8"), args.force)
 
 
+def _percent(x: float | None) -> float | None:
+    return None if x is None else 100.0 * x
+
+
 def _cmd_eval_coco(args) -> None:
     gt = _load(args.gt, formats.read_coco)
     preds = _load(args.pred, formats.parse_predictions)
     report = metrics.evaluate_coco_ap(gt, preds, max_dets=args.max_dets)
     scaled = metrics.ApReport(
-        rows=tuple(
-            metrics.ApRow(
-                name=r.name,
-                ap=None if r.ap is None else 100.0 * r.ap,
-                ap50=None if r.ap50 is None else 100.0 * r.ap50,
-                ap75=None if r.ap75 is None else 100.0 * r.ap75,
-                ap_small=None if r.ap_small is None else 100.0 * r.ap_small,
-                ap_medium=None if r.ap_medium is None else 100.0 * r.ap_medium,
-                ap_large=None if r.ap_large is None else 100.0 * r.ap_large,
-            )
-            for r in report.rows
-        )
+        rows=tuple(metrics.ApRow(r.name, *map(_percent, r.values())) for r in report.rows)
     )
     _emit(args.out, analytics.emit_report(scaled, format=args.format), args.force)
 
@@ -299,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labelme-dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--keypoint-radius", type=float, default=5.0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel parse workers")
     add_force(p)
     p.set_defaults(func=_cmd_convert)
 

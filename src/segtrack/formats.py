@@ -597,13 +597,7 @@ def coco_to_tracks(ds: CocoDataset) -> list[Track]:
         label = category_name[ann.category_id]
         frame = frame_of_image[ann.image_id]
         states.setdefault(label, []).append(
-            TrackState(
-                frame=frame,
-                present=True,
-                centroid=ann.segmentation.centroid,
-                score=1.0,
-                segmentation=ann.segmentation,
-            )
+            TrackState(frame=frame, score=1.0, segmentation=ann.segmentation)
         )
     tracks = []
     for label in sorted(states):

@@ -355,7 +355,7 @@ def _states_by_frame(tracks: Sequence[Track]) -> dict[int, list[tuple[str, Segme
     by_frame: dict[int, list[tuple[str, Segmentation]]] = {}
     for track in sorted(tracks, key=lambda t: t.label):
         for s in track.states:
-            if s.present and s.segmentation is not None:
+            if s.segmentation is not None:
                 by_frame.setdefault(s.frame, []).append((track.label, s.segmentation))
     return by_frame
 

@@ -203,15 +203,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[Track], CocoDataset]:
         for i in range(n):
             cx, cy = trajectory[f][i]
             rle, bbox = disc_mask(cx, cy, cfg.body_radius, height, width)
-            states[i].append(
-                TrackState(
-                    frame=f,
-                    present=True,
-                    centroid=rle.centroid,
-                    score=1.0,
-                    segmentation=rle,
-                )
-            )
+            states[i].append(TrackState(frame=f, score=1.0, segmentation=rle))
             dataset.annotations.append(
                 CocoAnnotation(
                     id=ann_id,
@@ -250,7 +242,7 @@ def perturb(
     states: dict[tuple[int, str], TrackState] = {}
     for track in gt_tracks:
         for s in track.states:
-            if s.present and s.segmentation is not None:
+            if s.segmentation is not None:
                 states[(s.frame, track.label)] = s
     if not states:
         raise ConfigError("no detections to perturb")

@@ -2,9 +2,11 @@
 
 Because every animal is its own detection class, a track is simply the
 time series of detections carrying one label; assembling tracks needs
-no cross-frame matching, motion model, or re-identification.  This
-module also extracts discrete events from tracks: newly appearing
-stationary spots and behavior bouts.
+no cross-frame matching, motion model, or re-identification.  A track
+state is one detection, positioned at its mask's centroid, and a frame
+with no detection has no state.  This module also extracts discrete
+events from tracks: newly appearing stationary spots and behavior
+bouts.
 """
 
 from __future__ import annotations
@@ -39,18 +41,28 @@ class DetectionRecord:
 
 @dataclass(frozen=True)
 class TrackState:
+    """One detection of a track; a frame with no detection has no state.
+
+    The position is the segmentation's centroid.  Only a state without
+    a mask (interpolated, or read back from a track CSV) carries it as
+    ``point``.
+    """
+
     frame: int
-    present: bool
-    centroid: Point | None = None
     score: float | None = None
     segmentation: Segmentation | None = None
     interpolated: bool = False
+    point: Point | None = None
 
     def __post_init__(self) -> None:
-        if not self.present and self.segmentation is not None:
-            raise ValueError("absent states cannot carry a segmentation")
-        if self.interpolated and not self.present:
-            raise ValueError("interpolated states must be present")
+        if self.point is not None and self.segmentation is not None:
+            raise ValueError("a state with a segmentation takes its centroid from it, not from point")
+
+    @property
+    def centroid(self) -> Point | None:
+        if self.segmentation is not None:
+            return self.segmentation.centroid
+        return self.point
 
 
 class Track:
@@ -68,11 +80,8 @@ class Track:
     def state_at(self, frame: int) -> TrackState | None:
         return self._by_frame.get(frame)
 
-    def present_states(self) -> list[TrackState]:
-        return [s for s in self.states if s.present]
-
     def present_frames(self) -> list[int]:
-        return [s.frame for s in self.states if s.present]
+        return [s.frame for s in self.states]
 
     def __eq__(self, other) -> bool:
         return (
@@ -137,7 +146,7 @@ def resolve_duplicates(frame_dets: Sequence[DetectionRecord]) -> list[DetectionR
 
 
 def assemble_tracks(dets: Sequence[DetectionRecord]) -> list[Track]:
-    """One track per distinct label, present exactly where that label was detected.
+    """One track per distinct label, with a state exactly where that label was detected.
 
     Requires records already filtered and de-duplicated: a repeated
     (frame, label) pair is a precondition violation.
@@ -151,28 +160,19 @@ def assemble_tracks(dets: Sequence[DetectionRecord]) -> list[Track]:
         for a, b in zip(group, group[1:]):
             if a.frame == b.frame:
                 raise ValueError(f"duplicate detection for {label!r} at frame {a.frame}")
-        states = [
-            TrackState(
-                frame=d.frame,
-                present=True,
-                centroid=d.segmentation.centroid,
-                score=d.score,
-                segmentation=d.segmentation,
-            )
-            for d in group
-        ]
+        states = [TrackState(frame=d.frame, score=d.score, segmentation=d.segmentation) for d in group]
         tracks.append(Track(label, states))
     return tracks
 
 
 def tracks_to_detections(tracks: Sequence[Track]) -> list[DetectionRecord]:
-    """Flatten tracks back into frame-major detection records (present states only)."""
+    """Flatten tracks back into frame-major detection records (states with a mask only)."""
     out = []
-    frames = sorted({s.frame for t in tracks for s in t.states if s.present})
+    frames = sorted({s.frame for t in tracks for s in t.states})
     for frame in frames:
         for track in tracks:
             s = track.state_at(frame)
-            if s is None or not s.present or s.segmentation is None:
+            if s is None or s.segmentation is None:
                 continue
             out.append(
                 DetectionRecord(
@@ -189,37 +189,26 @@ def tracks_to_detections(tracks: Sequence[Track]) -> list[DetectionRecord]:
 def interpolate_gaps(track: Track, max_gap: int) -> Track:
     """Fill interior absence runs of length <= max_gap with interpolated states.
 
-    Inserted states carry a linearly interpolated centroid, no score and
-    no segmentation; original states are never modified.
+    Inserted states carry a linearly interpolated centroid as ``point``,
+    no score and no segmentation; original states are never modified.
     """
     if max_gap < 0:
         raise ValueError(f"max_gap must be >= 0, got {max_gap}")
-    present = track.present_states()
-    if max_gap == 0 or len(present) < 2:
+    if max_gap == 0 or len(track.states) < 2:
         return Track(track.label, track.states)
     states = list(track.states)
-    for a, b in zip(present, present[1:]):
+    for a, b in zip(track.states, track.states[1:]):
         gap = b.frame - a.frame - 1
         if gap < 1 or gap > max_gap:
             continue
-        if a.centroid is None or b.centroid is None:
+        ca, cb = a.centroid, b.centroid
+        if ca is None or cb is None:
             continue
         span = b.frame - a.frame
         for frame in range(a.frame + 1, b.frame):
-            if track.state_at(frame) is not None:
-                continue
             t = (frame - a.frame) / span
-            states.append(
-                TrackState(
-                    frame=frame,
-                    present=True,
-                    centroid=Point(
-                        a.centroid.x + t * (b.centroid.x - a.centroid.x),
-                        a.centroid.y + t * (b.centroid.y - a.centroid.y),
-                    ),
-                    interpolated=True,
-                )
-            )
+            point = Point(ca.x + t * (cb.x - ca.x), ca.y + t * (cb.y - ca.y))
+            states.append(TrackState(frame=frame, interpolated=True, point=point))
     return Track(track.label, states)
 
 
@@ -318,20 +307,21 @@ def write_tracks_csv(tracks: Sequence[Track]) -> bytes:
         for frame in range(min(s[0].frame for s in spanned), max(s[-1].frame for s in spanned) + 1):
             for track in ordered:
                 s = track.state_at(frame)
-                if s is None or not s.present:
+                if s is None:
                     writer.writerow([frame, track.label, "false", "", "", "", "false"])
-                else:
-                    writer.writerow(
-                        [
-                            frame,
-                            track.label,
-                            "true",
-                            f"{s.centroid.x:.4f}" if s.centroid else "",
-                            f"{s.centroid.y:.4f}" if s.centroid else "",
-                            f"{s.score:.6f}" if s.score is not None else "",
-                            "true" if s.interpolated else "false",
-                        ]
-                    )
+                    continue
+                c = s.centroid
+                writer.writerow(
+                    [
+                        frame,
+                        track.label,
+                        "true",
+                        f"{c.x:.4f}" if c else "",
+                        f"{c.y:.4f}" if c else "",
+                        f"{s.score:.6f}" if s.score is not None else "",
+                        "true" if s.interpolated else "false",
+                    ]
+                )
     return buf.getvalue().encode("utf-8")
 
 
@@ -353,10 +343,9 @@ def read_tracks_csv(data: bytes | str) -> list[Track]:
         by_label[label].append(
             TrackState(
                 frame=int(frame),
-                present=True,
-                centroid=Point(float(cx), float(cy)) if cx else None,
                 score=float(score) if score else None,
                 interpolated=interpolated == "true",
+                point=Point(float(cx), float(cy)) if cx else None,
             )
         )
     return [Track(label, states) for label, states in sorted(by_label.items())]

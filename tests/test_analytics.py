@@ -23,14 +23,12 @@ from segtrack.metrics import ApReport, ApRow, MotConfig, MotReport, evaluate_mot
 from segtrack.tracking import Track, TrackState
 
 
-def track_from_centroids(label, frame_centroids, seg=None):
-    return Track(
-        label,
-        [
-            TrackState(frame=f, present=True, centroid=Point(*c), score=1.0, segmentation=seg)
-            for f, c in frame_centroids
-        ],
-    )
+def track_from_centroids(label, frame_centroids):
+    return Track(label, [TrackState(frame=f, score=1.0, point=Point(*c)) for f, c in frame_centroids])
+
+
+def track_of_mask(label, frames, seg):
+    return Track(label, [TrackState(frame=f, score=1.0, segmentation=seg) for f in frames])
 
 
 def square(x, y, side=4.0):
@@ -167,14 +165,14 @@ def test_interaction_symmetric():
 def test_interaction_mask_iou_criterion():
     seg_a = square(0, 0, 10)
     seg_b = square(2, 0, 10)
-    a = Track("a", [TrackState(f, True, Point(5, 5), 1.0, seg_a) for f in range(6)])
-    b = Track("b", [TrackState(f, True, Point(7, 5), 1.0, seg_b) for f in range(6)])
+    a = track_of_mask("a", range(6), seg_a)
+    b = track_of_mask("b", range(6), seg_b)
     events = interaction_events(a, b, criterion="mask_iou", threshold=0.1, min_duration=2)
     assert events == [InteractionEvent(("a", "b"), 0, 5, "mask_iou")]
 
 
 def test_interaction_mask_iou_missing_segmentation_names_frames():
-    a = track_from_centroids("a", [(0, (0, 0)), (1, (0, 0))], seg=square(0, 0))
+    a = track_of_mask("a", [0, 1], square(0, 0))
     b = track_from_centroids("b", [(0, (0, 0)), (1, (0, 0))])  # no masks
     with pytest.raises(MissingDataError, match=r"\[0, 1\]"):
         interaction_events(a, b, criterion="mask_iou", threshold=0.1)
@@ -229,7 +227,7 @@ def test_emit_json_roundtrip():
 
 
 def test_emit_mot_report_csv():
-    gt = [track_from_centroids("v", [(f, (0, 0)) for f in range(4)], seg=square(0, 0))]
+    gt = [track_of_mask("v", range(4), square(0, 0))]
     report = evaluate_mot(gt, gt, MotConfig())
     data = emit_report(report, format="csv", name="clip1").decode()
     lines = data.splitlines()

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import errno
 import json
 
 import pytest
 
+from segtrack import cli
 from segtrack.cli import main
 from segtrack.formats import read_coco
 from segtrack.metrics import mota
@@ -78,6 +80,36 @@ def test_convert_refuses_overwrite(tmp_path):
     assert run(["convert", "--labelme-dir", labels, "--out", coco]) == 0
     assert run(["convert", "--labelme-dir", labels, "--out", coco]) == 1
     assert run(["convert", "--labelme-dir", labels, "--out", coco, "--force"]) == 0
+
+
+def test_failed_write_keeps_old_target_and_leaves_no_temp(tmp_path, monkeypatch, capsys):
+    real_open = open
+
+    class HalfWrite:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            self.f.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: HalfWrite(real_open(*a, **k)), raising=False)
+    labels = write_labelme_dir(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "coco.json").write_bytes(b"old")
+    assert run(["convert", "--labelme-dir", labels, "--out", out / "coco.json", "--force"]) == 1
+    assert run(["convert", "--labelme-dir", labels, "--out", out / "new.json"]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert (out / "coco.json").read_bytes() == b"old"
+    assert [p.name for p in out.iterdir()] == ["coco.json"]
 
 
 def test_sample_stdout(capsys):

@@ -12,8 +12,13 @@ from segtrack.formats import (
     CocoCategory,
     CocoDataset,
     CocoImage,
+    coco_to_tracks,
+    parse_predictions,
+    read_coco,
+    write_coco,
+    write_predictions,
 )
-from segtrack.geometry import Polygon, mask_to_rle
+from segtrack.geometry import BoundingBox, Polygon, RleMask, mask_to_rle
 from segtrack.metrics import (
     ApReport,
     MotConfig,
@@ -266,8 +271,6 @@ def _track(label, frames, x_of, y=0.0):
     states = [
         TrackState(
             frame=f,
-            present=True,
-            centroid=None,
             score=1.0,
             segmentation=rect(x_of(f), y),
         )
@@ -289,8 +292,8 @@ def test_evaluate_mot_label_permutation_counts_two_switches():
     gt = [_track("v1", range(10), lambda f: 0), _track("v2", range(10), lambda f: 100)]
     swap_from = 6
     pred = [
-        Track("a", [TrackState(f, True, None, 1.0, rect(0 if f < swap_from else 100, 0)) for f in range(10)]),
-        Track("b", [TrackState(f, True, None, 1.0, rect(100 if f < swap_from else 0, 0)) for f in range(10)]),
+        Track("a", [TrackState(f, score=1.0, segmentation=rect(0 if f < swap_from else 100, 0)) for f in range(10)]),
+        Track("b", [TrackState(f, score=1.0, segmentation=rect(100 if f < swap_from else 0, 0)) for f in range(10)]),
     ]
     report = evaluate_mot(gt, pred)
     assert report.id_switches == 2
@@ -313,8 +316,8 @@ def test_evaluate_mot_sticky_through_crossing():
 
 def test_evaluate_mot_counts_miss_and_fp():
     gt = [_track("v1", range(5), lambda f: 0)]
-    pred_states = [TrackState(f, True, None, 1.0, rect(0, 0)) for f in range(5) if f != 2]
-    stray = Track("junk", [TrackState(4, True, None, 1.0, rect(200, 200))])
+    pred_states = [TrackState(f, score=1.0, segmentation=rect(0, 0)) for f in range(5) if f != 2]
+    stray = Track("junk", [TrackState(4, score=1.0, segmentation=rect(200, 200))])
     report = evaluate_mot(gt, [Track("v1", pred_states), stray])
     assert report.false_negatives == 1
     assert report.false_positives == 1
@@ -335,6 +338,44 @@ def test_evaluate_mot_frames_denominator():
     gt = [_track("v1", range(10), lambda f: 0), _track("v2", range(10), lambda f: 100)]
     report = evaluate_mot(gt, gt, MotConfig(denominator="frames"))
     assert report.n_gt == 10
+
+
+def test_evaluate_mot_from_files_takes_no_centroid():
+    # ground truth holds one mask track and one polygon track; both are
+    # matched by mask predictions, so both IoU paths run
+    box = BoundingBox(0.0, 0.0, 1.0, 1.0)  # read back, never checked
+    ds = CocoDataset(categories=[CocoCategory(1, "mask_vole"), CocoCategory(2, "poly_vole")])
+    preds = []
+    for f in range(4):
+        ds.images.append(CocoImage(f + 1, f"frame_{f:06d}.png", 160, 160, frame_index=f))
+        ds.annotations += [
+            CocoAnnotation(2 * f + 1, f + 1, 1, rect_rle(10 + 5 * f, 10, 20, 20), box, 400.0),
+            CocoAnnotation(2 * f + 2, f + 1, 2, rect(80.0 + 5 * f, 80.0, 20.0, 20.0), box, 400.0),
+        ]
+        preds += [
+            DetectionRecord(f, "a", 0.9, rect_rle(11 + 5 * f, 10, 20, 20), box),
+            DetectionRecord(f, "b", 0.9, rect_rle(80 + 5 * f, 81, 20, 20), box),
+        ]
+    gt_tracks = coco_to_tracks(read_coco(write_coco(ds)))
+    pred_tracks = assemble_tracks(parse_predictions(write_predictions(preds)))
+    report = evaluate_mot(gt_tracks, pred_tracks)
+    assert (report.false_negatives, report.false_positives, report.id_switches) == (0, 0, 0)
+    segs = [s.segmentation for t in gt_tracks + pred_tracks for s in t.states]
+    masks = [s for s in segs if isinstance(s, RleMask)]
+    polygons = [s for s in segs if isinstance(s, Polygon)]
+    assert (len(masks), len(polygons)) == (12, 4)
+    assert not any("_centroid_and_bbox" in m.__dict__ for m in masks)
+    assert not any("centroid" in p.__dict__ for p in polygons)
+
+
+def test_evaluate_mot_counts_an_empty_mask_as_unmatched():
+    # an empty mask overlaps nothing, so it is a miss as ground truth and a
+    # false positive as a prediction; it needs no centroid to be scored
+    empty, full = rect_rle(0, 0, 0, 0, canvas=20), rect_rle(2, 2, 5, 5, canvas=20)
+    gt = [Track("v", [TrackState(0, score=1.0, segmentation=empty), TrackState(1, score=1.0, segmentation=full)])]
+    pred = [Track("a", [TrackState(0, score=1.0, segmentation=full), TrackState(1, score=1.0, segmentation=empty)])]
+    report = evaluate_mot(gt, pred)
+    assert (report.false_negatives, report.false_positives, report.id_switches) == (2, 2, 0)
 
 
 def test_evaluate_mot_empty_gt_undefined():

@@ -70,7 +70,7 @@ def test_scenario_shape():
     assert len(tracks) == 3
     for t in tracks:
         assert len(t.states) == 40
-        assert all(s.present and s.segmentation is not None for s in t.states)
+        assert all(s.segmentation is not None for s in t.states)
     assert len(dataset.images) == 40
     assert len(dataset.annotations) == 120
     assert [c.name for c in dataset.categories] == ["animal_1", "animal_2", "animal_3"]

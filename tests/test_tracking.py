@@ -109,7 +109,7 @@ def test_assemble_single_label():
     (track,) = assemble_tracks(dets)
     assert track.label == "vole_1"
     assert track.present_frames() == [0, 1, 2]
-    assert all(s.present and not s.interpolated for s in track.states)
+    assert all(not s.interpolated for s in track.states)
 
 
 def test_assemble_two_labels_with_gap():
@@ -137,6 +137,16 @@ def test_assemble_centroid_comes_from_segmentation():
     assert track.states[0].centroid == pytest.approx((12.0, 22.0))
 
 
+def test_state_centroid_is_its_segmentations():
+    seg = square(10, 20)
+    state = TrackState(0, segmentation=seg)
+    assert state.centroid == seg.centroid == Point(12.0, 22.0)
+    with pytest.raises(ValueError):
+        TrackState(0, segmentation=seg, point=Point(12.0, 22.0))
+    assert TrackState(0, point=Point(1.0, 2.0)).centroid == Point(1.0, 2.0)
+    assert TrackState(0).centroid is None
+
+
 def test_tracks_roundtrip_through_detections():
     dets = [det(0, "a"), det(1, "a", x=3), det(0, "b", x=20), det(2, "b", x=24)]
     tracks = assemble_tracks(dets)
@@ -151,7 +161,7 @@ def _sparse_track(frames_and_centroids):
     return Track(
         "a",
         [
-            TrackState(frame=f, present=True, centroid=Point(*c), score=1.0)
+            TrackState(frame=f, score=1.0, point=Point(*c))
             for f, c in frames_and_centroids
         ],
     )
@@ -160,7 +170,7 @@ def _sparse_track(frames_and_centroids):
 def test_interpolate_fills_single_gap():
     t = interpolate_gaps(_sparse_track([(0, (0, 0)), (2, (2, 2))]), max_gap=1)
     s = t.state_at(1)
-    assert s is not None and s.interpolated and s.present
+    assert s is not None and s.interpolated
     assert s.centroid == Point(1.0, 1.0)
     assert s.segmentation is None and s.score is None
 
@@ -307,16 +317,14 @@ def test_tracks_csv_deterministic():
 
 def test_tracks_csv_gaps_absent_and_interpolated_states():
     b = Track("b", [
-        TrackState(5, True, Point(1.0, 2.0), 0.5),
-        TrackState(2, True, Point(0.5, 0.25), None),
-        TrackState(3, False),
-        TrackState(4, True, Point(0.75, 1.125), interpolated=True),
+        TrackState(5, score=0.5, point=Point(1.0, 2.0)),
+        TrackState(2, point=Point(0.5, 0.25)),
+        TrackState(4, interpolated=True, point=Point(0.75, 1.125)),
     ])
-    a = Track("a", [TrackState(1, False), TrackState(3, True, None, 0.25), TrackState(6, True, Point(9.0, 9.5), 1.0)])
+    a = Track("a", [TrackState(3, score=0.25), TrackState(6, score=1.0, point=Point(9.0, 9.5))])
     empty = Track("c", [])
     assert write_tracks_csv([b, empty, a]).decode() == "\n".join([
         "frame,label,present,cx,cy,score,interpolated",
-        "1,a,false,,,,false", "1,b,false,,,,false", "1,c,false,,,,false",
         "2,a,false,,,,false", "2,b,true,0.5000,0.2500,,false", "2,c,false,,,,false",
         "3,a,true,,,0.250000,false", "3,b,false,,,,false", "3,c,false,,,,false",
         "4,a,false,,,,false", "4,b,true,0.7500,1.1250,,true", "4,c,false,,,,false",
