@@ -17,8 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, formats, metrics, synth, tracking
-from .errors import InvalidPolygonError, ParseError, SchemaError, SegtrackError
-from .geometry import Polygon
+from .errors import ParseError, SegtrackError
 from .metrics import MotConfig
 
 
@@ -71,6 +70,8 @@ def _load(path: str, parser):
         raise SegtrackError(f"{path}: {e.strerror or e}") from e
     try:
         return parser(data)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: invalid UTF-8 at byte {e.start}: {e.reason}") from e
     except SegtrackError as e:
         raise type(e)(f"{path}: {e}") from e
 
@@ -137,8 +138,7 @@ def _cmd_track(args) -> None:
 
 def _cmd_eval_mot(args) -> None:
     _check_writable(args.force, args.out, args.frame_log)
-    gt = _load(args.gt, formats.read_coco)
-    gt_tracks = formats.coco_to_tracks(gt)
+    gt_tracks = _load(args.gt, lambda data: formats.coco_to_tracks(formats.read_coco(data)))
     pred_tracks = _load_pred_tracks(args.pred, args.score_threshold)
     cfg = MotConfig(iou_threshold=args.iou, denominator=args.denominator)
     report = metrics.evaluate_mot(gt_tracks, pred_tracks, cfg)
@@ -163,35 +163,10 @@ def _cmd_eval_coco(args) -> None:
     _emit(args.out, analytics.emit_report(scaled, format=args.format), args.force)
 
 
-def _parse_zones(data: bytes) -> list[analytics.ZoneDefinition]:
-    """Zones file: a JSON list of ``{"name": ..., "points": [[x, y], ...]}``."""
-    try:
-        raw = json.loads(data)
-    except ValueError as e:
-        raise ParseError(f"malformed JSON: {e}") from e
-    if not isinstance(raw, list):
-        raise SchemaError("zones must be a list")
-    zones = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or not {"name", "points"} <= entry.keys():
-            raise SchemaError(f"zone {i}: expected an object with fields 'name' and 'points'")
-        points = entry["points"]
-        if not isinstance(points, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p) for p in points
-        ):
-            raise SchemaError(f"zone {i}: points must be a list of [x, y] numbers")
-        try:
-            region = Polygon.from_xy(points)
-        except InvalidPolygonError as e:
-            raise InvalidPolygonError(f"zone {i}: {e}") from e
-        zones.append(analytics.ZoneDefinition(name=str(entry["name"]), region=region))
-    return zones
-
-
 def _cmd_analyze(args) -> None:
     _check_writable(args.force, args.out, args.interactions_out)
     tracks = _load(args.tracks, tracking.read_tracks_csv)
-    zones = _load(args.zones, _parse_zones) if args.zones else []
+    zones = [analytics.ZoneDefinition(*zone) for zone in _load(args.zones, formats.parse_zones)] if args.zones else []
     lines = []
     header = ["label", "frames_present", "distance_traveled", "mean_speed"]
     header += [f"zone_{z.name}" for z in zones] + (["zone_outside"] if zones else [])

@@ -1,11 +1,15 @@
 """Annotation dataset I/O.
 
-Parses labelme documents, converts them to COCO datasets, splits
-train/validation sets, reads and writes COCO JSON and JSON-Lines
-prediction streams, and samples frames for labeling.  Segmentations are
-accepted in all three COCO forms wherever one is read: polygon
-list-of-rings, uncompressed RLE ``{"size": [h, w], "counts": [..]}``,
-and compressed RLE with a counts string.  One ring reads as a
+Parses labelme documents and zones files, converts labelme to COCO
+datasets, splits train/validation sets, reads and writes COCO JSON and
+JSON-Lines prediction streams, and samples frames for labeling.  Every
+reader validates through the same field readers: ``_document`` decodes
+the JSON, ``_records`` walks a record list, and ``_field`` applies one
+typed converter per field, so a bad value raises a ``SegtrackError``
+that names its record (``shape 2``, ``line 7``, ``zone 0``).
+Segmentations are accepted in all three COCO forms wherever one is read:
+polygon list-of-rings, uncompressed RLE ``{"size": [h, w], "counts":
+[..]}``, and compressed RLE with a counts string.  One ring reads as a
 ``Polygon`` and several as a ``MultiPolygon``; each is written back as rings.
 """
 
@@ -30,9 +34,6 @@ from .errors import (
 )
 from .geometry import BoundingBox, MultiPolygon, Point, Polygon, RleMask, Segmentation
 from .tracking import DetectionRecord, Track, TrackState
-
-SHAPE_TYPES = ("polygon", "point")
-
 
 @dataclass(frozen=True)
 class Shape:
@@ -92,59 +93,175 @@ class SplitResult:
 
 
 # ---------------------------------------------------------------------------
-# labelme ingestion
+# shared input readers
+
+
+def _document(data: bytes | str, kind: type = dict):
+    """One JSON document of top-level type ``kind``: bad JSON raises ParseError, another type SchemaError."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:  # also ints past the digit limit, and deep nesting
+        raise ParseError(f"malformed JSON: {e}") from e
+    if not isinstance(doc, kind):
+        raise SchemaError(f"top-level value must be {'an object' if kind is dict else 'a list'}")
+    return doc
+
+
+def _records(records, section: str, kind: str):
+    """``(where, raw)`` for each record of the list ``records`` (named ``section``); records must be objects."""
+    if not isinstance(records, list):
+        raise SchemaError(f"{section} must be a list")
+    for i, raw in enumerate(records):
+        where = f"{kind} {i}"
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{where}: record must be an object")
+        yield where, raw
+
+
+_REQUIRED = object()
+
+
+def _field(raw: dict, key: str, convert, where: str, default=_REQUIRED):
+    """``convert(raw[key])``, or ``default`` for an absent optional field.
+
+    A missing required field or a value ``convert`` rejects raises a
+    :class:`SchemaError` naming the record ``where``.
+    """
+    if key not in raw:
+        if default is _REQUIRED:
+            raise SchemaError(f"{where}: missing field {key!r}")
+        return default
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SchemaError(f"{where}: invalid {key}: {e}") from None
+    except SegtrackError as e:
+        raise type(e)(f"{where}: {e}") from e
+
+
+def _int(value) -> int:
+    """A JSON number with an integral value; booleans and strings are not numbers."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None else _int(value)
+
+
+def _int_from(low: int):
+    """The reader of JSON integers >= ``low``."""
+
+    def convert(value) -> int:
+        if (n := _int(value)) < low:
+            raise ValueError(f"expected an integer >= {low}, got {json.dumps(value)}")
+        return n
+
+    return convert
+
+
+_index = _int_from(0)  # frame numbers
+_size = _int_from(1)  # image heights and widths
+
+
+def _number(value) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _finite(value) -> float:
+    """A finite JSON number as a float; it calls no other reader, since it runs once per coordinate."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _area(value) -> float:
+    """A finite, nonnegative JSON number."""
+    area = _number(value)
+    if not (math.isfinite(area) and area >= 0.0):
+        raise ValueError(f"expected a finite number >= 0, got {json.dumps(value)}")
+    return area
+
+
+def _score(value) -> float:
+    """A JSON number in [0, 1]; outside it raises :class:`OutOfRangeError`."""
+    score = _number(value)
+    if not 0.0 <= score <= 1.0:
+        raise OutOfRangeError(f"score {json.dumps(value)} outside [0, 1]")
+    return score
+
+
+def _str(value) -> str:
+    """A JSON string; numbers, booleans and null are not names."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {json.dumps(value)}")
+    return value
+
+
+def _name(value) -> str:
+    """A non-empty JSON string, such as a label."""
+    if not _str(value):
+        raise ValueError('expected a non-empty string, got ""')
+    return value
+
+
+def _shape_type(value) -> str:
+    if _str(value) not in ("polygon", "point"):
+        raise ValueError(f'expected "polygon" or "point", got {json.dumps(value)}')
+    return value
+
+
+def _bbox(value) -> BoundingBox:
+    """``[x, y, w, h]``: four finite JSON numbers."""
+    if type(value) is not list or len(value) != 4:
+        raise TypeError(f"expected [x, y, w, h], got {json.dumps(value)}")
+    return BoundingBox(*map(_finite, value))
+
+
+def _points(value) -> tuple[Point, ...]:
+    """A JSON list of ``[x, y]`` points of finite numbers."""
+    if type(value) is not list or not all(type(p) is list and len(p) == 2 for p in value):
+        raise TypeError(f"expected a list of [x, y] points, got {json.dumps(value)}")
+    return tuple(Point(_finite(x), _finite(y)) for x, y in value)
+
+
+# ---------------------------------------------------------------------------
+# hand-drawn inputs: labelme documents and zones files
 
 
 def parse_labelme(data: bytes | str) -> LabelmeDocument:
     """Parse one labelme JSON document; unknown top-level fields are ignored."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level value must be an object")
-    for key in ("imageHeight", "imageWidth"):
-        if not isinstance(doc.get(key), (int, float)) or doc[key] <= 0:
-            raise SchemaError(f"missing or invalid {key}")
-    image_path = doc.get("imagePath")
-    if not isinstance(image_path, str) or not image_path:
-        raise SchemaError("missing or invalid imagePath")
-
+    doc = _document(data)
     shapes = []
-    for i, raw in enumerate(doc.get("shapes", [])):
-        label = raw.get("label")
-        if not isinstance(label, str) or not label:
-            raise SchemaError(f"shape {i}: missing label")
-        shape_type = raw.get("shape_type", "polygon")
-        if shape_type not in SHAPE_TYPES:
-            raise SchemaError(f"shape {i}: unsupported shape_type {shape_type!r}")
-        points = raw.get("points")
-        if not isinstance(points, list) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in points
-        ):
-            raise SchemaError(f"shape {i}: invalid points")
-        if shape_type == "polygon" and len(points) < 3:
-            raise SchemaError(f"shape {i}: polygon needs >=3 points, got {len(points)}")
-        if shape_type == "point" and len(points) != 1:
-            raise SchemaError(f"shape {i}: point shape needs exactly 1 point, got {len(points)}")
-        group_id = raw.get("group_id")
-        if group_id is not None and not isinstance(group_id, int):
-            raise SchemaError(f"shape {i}: group_id must be an integer or null")
-        shapes.append(
-            Shape(
-                label=label,
-                points=tuple(Point(float(x), float(y)) for x, y in points),
-                shape_type=shape_type,
-                group_id=group_id,
-            )
-        )
+    for where, raw in _records(doc.get("shapes", []), "shapes", "shape"):
+        label = _field(raw, "label", _name, where)
+        shape_type = _field(raw, "shape_type", _shape_type, where, "polygon")
+        points = _field(raw, "points", _points, where)
+        if len(points) < 3 if shape_type == "polygon" else len(points) != 1:
+            raise SchemaError(f"{where}: a {shape_type} shape cannot have {len(points)} points")
+        group_id = _field(raw, "group_id", _optional_int, where, None)
+        shapes.append(Shape(label=label, points=points, shape_type=shape_type, group_id=group_id))
     return LabelmeDocument(
-        image_path=image_path,
-        image_height=int(doc["imageHeight"]),
-        image_width=int(doc["imageWidth"]),
+        image_path=_field(doc, "imagePath", _name, "top level"),
+        image_height=_field(doc, "imageHeight", _size, "top level"),
+        image_width=_field(doc, "imageWidth", _size, "top level"),
         shapes=tuple(shapes),
     )
+
+
+def parse_zones(data: bytes | str) -> list[tuple[str, Polygon]]:
+    """Zones file: a JSON list of ``{"name": ..., "points": [[x, y], ...]}``, as ``(name, region)`` pairs."""
+    return [
+        (_field(raw, "name", _name, where), _field(raw, "points", lambda v: Polygon(_points(v)), where))
+        for where, raw in _records(_document(data, list), "zones", "zone")
+    ]
 
 
 def keypoint_to_region(pt: Point | Sequence[float], radius: float) -> Polygon:
@@ -362,106 +479,27 @@ def write_coco(ds: CocoDataset) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
-_REQUIRED = object()
-
-
-def _field(raw: dict, key: str, convert, where: str, default=_REQUIRED):
-    """``convert(raw[key])``, or ``default`` for an absent optional field.
-
-    A missing required field or a value ``convert`` rejects raises a
-    :class:`SchemaError` naming the record ``where``.
-    """
-    if key not in raw:
-        if default is _REQUIRED:
-            raise SchemaError(f"{where}: missing field {key!r}")
-        return default
-    try:
-        return convert(raw[key])
-    except (TypeError, ValueError, OverflowError) as e:
-        raise SchemaError(f"{where}: invalid {key}: {e}") from None
-    except SegtrackError as e:
-        raise type(e)(f"{where}: {e}") from e
-
-
-def _int(value) -> int:
-    """A JSON number with an integral value; booleans and strings are not numbers."""
-    if type(value) is float and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {json.dumps(value)}")
-    return value
-
-
-def _optional_int(value) -> int | None:
-    return None if value is None else _int(value)
-
-
-def _number(value) -> float:
-    """A JSON number as a float; booleans and strings are not numbers."""
-    if type(value) is bool or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _area(value) -> float:
-    """A finite, nonnegative JSON number."""
-    area = _number(value)
-    if not (math.isfinite(area) and area >= 0.0):
-        raise ValueError(f"expected a finite number >= 0, got {json.dumps(value)}")
-    return area
-
-
-def _str(value) -> str:
-    """A JSON string; numbers, booleans and null are not names."""
-    if type(value) is not str:
-        raise TypeError(f"expected a string, got {json.dumps(value)}")
-    return value
-
-
-def _bbox(value) -> BoundingBox:
-    return BoundingBox(*(_number(v) for v in value))
-
-
-def _records(doc: dict, section: str, kind: str):
-    """``(where, raw)`` for each record of the list ``doc[section]``; records must be objects."""
-    records = doc.get(section, [])
-    if not isinstance(records, list):
-        raise SchemaError(f"{section} must be a list")
-    for i, raw in enumerate(records):
-        where = f"{kind} {i}"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: record must be an object")
-        yield where, raw
-
-
 def read_coco(data: bytes | str) -> CocoDataset:
     """Parse and referentially validate a COCO dataset.
 
     A malformed record raises a :class:`SchemaError` that names it by
     section and position, e.g. ``annotation 3: missing field 'id'``.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"malformed JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level value must be an object")
-
+    doc = _document(data)
     ds = CocoDataset()
-    for where, raw in _records(doc, "categories", "category"):
+    for where, raw in _records(doc.get("categories", []), "categories", "category"):
         ds.categories.append(CocoCategory(id=_field(raw, "id", _int, where), name=_field(raw, "name", _str, where)))
-    for where, raw in _records(doc, "images", "image"):
+    for where, raw in _records(doc.get("images", []), "images", "image"):
         ds.images.append(
             CocoImage(
                 id=_field(raw, "id", _int, where),
                 file_name=_field(raw, "file_name", _str, where),
-                height=_field(raw, "height", _int, where),
-                width=_field(raw, "width", _int, where),
+                height=_field(raw, "height", _size, where),
+                width=_field(raw, "width", _size, where),
                 frame_index=_field(raw, "frame_index", _optional_int, where, None),
             )
         )
-    for where, raw in _records(doc, "annotations", "annotation"):
+    for where, raw in _records(doc.get("annotations", []), "annotations", "annotation"):
         ds.annotations.append(
             CocoAnnotation(
                 id=_field(raw, "id", _int, where),
@@ -490,14 +528,12 @@ def read_coco(data: bytes | str) -> CocoDataset:
         problems.append(f"annotations {brief_list(bad_cat)} reference missing categories")
     if problems:
         raise IntegrityError("; ".join(problems))
+    image_frame_map(ds)  # raises on a repeated frame_index
     return ds
 
 
 # ---------------------------------------------------------------------------
 # prediction streams (JSON-Lines)
-
-_PREDICTION_KEYS = ("frame", "label", "score", "bbox", "segmentation")
-
 
 def parse_predictions(stream: bytes | str | Iterable[str]) -> list[DetectionRecord]:
     """Parse a JSON-Lines prediction stream, one record per line.
@@ -516,34 +552,18 @@ def parse_predictions(stream: bytes | str | Iterable[str]) -> list[DetectionReco
         line = line.strip()
         if not line:
             continue
+        where = f"line {lineno}"
         try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"line {lineno}: malformed JSON: {e}") from e
-        if not isinstance(raw, dict):
-            raise SchemaError(f"line {lineno}: record must be an object")
-        missing = [k for k in _PREDICTION_KEYS if k not in raw]
-        if missing:
-            raise SchemaError(f"line {lineno}: missing fields {missing}")
-        frame = raw["frame"]
-        if isinstance(frame, bool) or not isinstance(frame, int) or frame < 0:
-            raise SchemaError(f"line {lineno}: frame must be a non-negative integer")
-        if not isinstance(raw["label"], str) or not raw["label"]:
-            raise SchemaError(f"line {lineno}: label must be a non-empty string")
-        score = raw["score"]
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise SchemaError(f"line {lineno}: score must be a number")
-        if not 0.0 <= score <= 1.0:
-            raise OutOfRangeError(f"line {lineno}: score {score} outside [0, 1]")
-        if not (isinstance(raw["bbox"], list) and len(raw["bbox"]) == 4):
-            raise SchemaError(f"line {lineno}: bbox must be [x, y, w, h]")
+            raw = _document(line)
+        except SegtrackError as e:
+            raise type(e)(f"{where}: {e}") from e
         records.append(
             DetectionRecord(
-                frame=frame,
-                label=raw["label"],
-                score=float(score),
-                segmentation=_field(raw, "segmentation", decode_segmentation, f"line {lineno}"),
-                bbox=_field(raw, "bbox", _bbox, f"line {lineno}"),
+                frame=_field(raw, "frame", _index, where),
+                label=_field(raw, "label", _name, where),
+                score=_field(raw, "score", _score, where),
+                bbox=_field(raw, "bbox", _bbox, where),
+                segmentation=_field(raw, "segmentation", decode_segmentation, where),
             )
         )
     return records
@@ -599,10 +619,7 @@ def coco_to_tracks(ds: CocoDataset) -> list[Track]:
         states.setdefault(label, []).append(
             TrackState(frame=frame, score=1.0, segmentation=ann.segmentation)
         )
-    tracks = []
-    for label in sorted(states):
-        try:
-            tracks.append(Track(label, states[label]))
-        except ValueError as e:
-            raise SchemaError(str(e)) from e
-    return tracks
+    try:
+        return [Track(label, states[label]) for label in sorted(states)]
+    except ValueError as e:  # two annotations of one category on one image
+        raise SchemaError(str(e)) from e

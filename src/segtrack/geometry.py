@@ -761,26 +761,23 @@ def _rle_columns(r: RleMask, c_lo: int, c_hi: int) -> np.ndarray:
     return flat.reshape((r.height, c_hi - c_lo), order="F")
 
 
+def _union_spans(rings: Iterable[Polygon], height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spans of every ring on one grid, concatenated; :func:`_fill_spans` unites them."""
+    spans = [_ring_spans(ring, height, width) for ring in rings]
+    return tuple(np.concatenate(part) for part in zip(*spans))
+
+
 def _polygon_rle_iou(rings: tuple[Polygon, ...], r: RleMask) -> float:
     """IoU of the union of ``rings`` and a mask, over the rings' clipped window."""
-    spans = [_ring_spans(ring, r.height, r.width) for ring in rings]
-    if not any(rows.size for rows, _, _ in spans):  # no polygon pixel inside the frame
+    rows, c0, c1 = _union_spans(rings, r.height, r.width)
+    if not rows.size:  # no polygon pixel inside the frame
         return 0.0
-    rows, c0, c1 = (np.concatenate(part) for part in zip(*spans))
     r_lo, r_hi = int(rows.min()), int(rows.max()) + 1
     c_lo, c_hi = int(c0.min()), int(c1.max()) + 1
     poly = _fill_spans(rows - r_lo, c0 - c_lo, c1 - c_lo, r_hi - r_lo, c_hi - c_lo)
     mask = _rle_columns(r, c_lo, c_hi)[r_lo:r_hi]
     inter = int(np.count_nonzero(poly & mask))
     return inter / (int(np.count_nonzero(poly)) + r.area - inter)
-
-
-def _rings_to_window(rings: tuple[Polygon, ...], x0: int, y0: int, h: int, w: int) -> np.ndarray:
-    """Dense rendering of the union of rings inside an integer-offset window."""
-    win = np.zeros((h, w), dtype=bool)
-    for ring in rings:
-        win |= rasterize(ring.translated(-x0, -y0), h, w)
-    return win
 
 
 def segmentation_iou(a: Segmentation, b: Segmentation) -> float:
@@ -804,8 +801,9 @@ def segmentation_iou(a: Segmentation, b: Segmentation) -> float:
     x1 = math.ceil(max(ba.x + ba.w, bb.x + bb.w)) + 1
     y1 = math.ceil(max(ba.y + ba.h, bb.y + bb.h)) + 1
     h, w = max(1, y1 - y0), max(1, x1 - x0)
-    ma = _rings_to_window(a.rings, x0, y0, h, w)
-    mb = _rings_to_window(b.rings, x0, y0, h, w)
+    ma, mb = (
+        _fill_spans(*_union_spans([ring.translated(-x0, -y0) for ring in s.rings], h, w), h, w) for s in (a, b)
+    )
     inter = int(np.count_nonzero(ma & mb))
     union = int(np.count_nonzero(ma | mb))
     return inter / union if union else 0.0

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import SchemaError
 from .geometry import BoundingBox, Point, Segmentation
 
 
@@ -326,26 +327,33 @@ def write_tracks_csv(tracks: Sequence[Track]) -> bytes:
 
 
 def read_tracks_csv(data: bytes | str) -> list[Track]:
-    """Rebuild tracks from the CSV export (geometry is not round-tripped)."""
+    """Rebuild tracks from the CSV export (geometry is not round-tripped); a bad row raises SchemaError."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != _CSV_HEADER:
-        raise ValueError(f"unexpected header {header!r}")
     by_label: dict[str, list[TrackState]] = {}
-    for row in reader:
-        if not row:
-            continue
-        frame, label, present, cx, cy, score, interpolated = row
-        by_label.setdefault(label, [])
-        if present != "true":
-            continue
-        by_label[label].append(
-            TrackState(
-                frame=int(frame),
-                score=float(score) if score else None,
-                interpolated=interpolated == "true",
-                point=Point(float(cx), float(cy)) if cx else None,
-            )
-        )
-    return [Track(label, states) for label, states in sorted(by_label.items())]
+    try:
+        header = next(reader, None)
+        if header != _CSV_HEADER:
+            raise ValueError(f"unexpected header {header!r}")
+        for row in reader:
+            if not row:
+                continue
+            frame, label, present, cx, cy, score, interpolated = row
+            by_label.setdefault(label, [])
+            if present == "true":
+                by_label[label].append(
+                    TrackState(
+                        frame=int(frame),
+                        score=float(score) if score else None,
+                        interpolated=interpolated == "true",
+                        point=Point(float(cx), float(cy)) if cx else None,
+                    )
+                )
+            elif present != "false":
+                raise ValueError(f"present must be true or false, got {present!r}")
+    except (ValueError, csv.Error) as e:
+        raise SchemaError(f"line {reader.line_num}: {e}") from None
+    try:
+        return [Track(label, states) for label, states in sorted(by_label.items())]
+    except ValueError as e:  # two rows of one label at one frame
+        raise SchemaError(str(e)) from None

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import errno
 import json
+import math
+import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from segtrack import cli
 from segtrack.cli import main
@@ -315,12 +319,13 @@ def test_eval_coco_malformed_gt_is_domain_error(tmp_path, capsys, edit, message)
 @pytest.mark.parametrize(
     "text,message",
     [
-        ('[{"name": "west"}]', "zone 0: expected an object with fields 'name' and 'points'"),
+        ('[{"name": "west"}]', "zone 0: missing field 'points'\n"),
         ('[{"name": "west", "points": [[0, 0], [9, 0], [9, 9]]', "malformed JSON: "),
         ('[{"name": "a", "points": [[0, 0], [9, 0], [9, 9]]}, {"name": "b", "points": [[0, 0], [9, 9]]}]',
          "zone 1: polygon needs >=3 vertices, got 2"),
+        ('[{"name": 5, "points": [[0, 0], [9, 0], [9, 9]]}]', "zone 0: invalid name: expected a string, got 5\n"),
     ],
-    ids=["no-points", "malformed-json", "two-point-ring"],
+    ids=["no-points", "malformed-json", "two-point-ring", "numeric-name"],
 )
 def test_analyze_bad_zones_file_names_file_and_zone(tmp_path, capsys, text, message):
     tracks_csv = tmp_path / "tracks.csv"
@@ -330,3 +335,142 @@ def test_analyze_bad_zones_file_names_file_and_zone(tmp_path, capsys, text, mess
     capsys.readouterr()
     assert run(["analyze", "--tracks", tracks_csv, "--zones", zones]) == 1
     assert capsys.readouterr().err.startswith(f"error: {zones}: {message}")
+
+
+def test_eval_repeated_frame_index_names_gt(tmp_path, capsys):
+    out = _make_scenario(tmp_path)
+    gt = out / "gt.json"
+    doc = json.loads(gt.read_text())
+    doc["images"][1]["frame_index"] = 0
+    gt.write_text(json.dumps(doc))
+    for command in ("eval-mot", "eval-coco"):
+        capsys.readouterr()
+        assert run([command, "--gt", gt, "--pred", out / "preds.jsonl"]) == 1
+        assert capsys.readouterr().err == f"error: {gt}: duplicate frame_index 0\n"
+
+
+def test_eval_mot_two_states_of_one_track_names_gt(tmp_path, capsys):
+    out = _make_scenario(tmp_path)
+    gt = out / "gt.json"
+    doc = json.loads(gt.read_text())
+    first = doc["annotations"][0]
+    doc["annotations"].append(dict(first, id=1 + max(a["id"] for a in doc["annotations"])))
+    gt.write_text(json.dumps(doc))
+    label = next(c["name"] for c in doc["categories"] if c["id"] == first["category_id"])
+    frame = next(img["frame_index"] for img in doc["images"] if img["id"] == first["image_id"])
+    capsys.readouterr()
+    assert run(["eval-mot", "--gt", gt, "--pred", out / "preds.jsonl"]) == 1
+    assert capsys.readouterr().err == f"error: {gt}: track {label!r} has two states at frame {frame}\n"
+
+
+# ---------------------------------------------------------------------------
+# the input boundary: every reader, fed a broken file, names the file
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One small valid file of each input format, and the command that reads it."""
+    root = tmp_path_factory.mktemp("valid")
+    scen = root / "scen"
+    assert run(["synth", "--out-dir", scen, "--animals", 2, "--frames", 4, "--width", 64, "--height", 64,
+                "--radius", 5, "--speed", 2, "--min-separation", 14, "--seed", 3, "--p-fp", 0.3]) == 0
+    tracks = root / "tracks.csv"
+    assert run(["track", "--pred", scen / "preds.jsonl", "--out", tracks]) == 0
+    zones = root / "zones.json"
+    zones.write_text(json.dumps([{"name": "west", "points": [[0, 0], [32, 0], [32, 64], [0, 64]]},
+                                 {"name": "east", "points": [[32, 0], [64, 0], [64, 64], [32, 64]]}]))
+    labels = write_labelme_dir(root, n=2)
+    return {
+        "labelme": (labels / "frame_000.json", lambda f, w: ["convert", "--labelme-dir", f.parent,
+                                                             "--out", w / "coco.json", "--force"]),
+        "coco": (scen / "gt.json", lambda f, w: ["split", "--in", f, "--train-out", w / "train.json",
+                                                 "--val-out", w / "val.json", "--force"]),
+        "jsonl": (scen / "preds.jsonl", lambda f, w: ["eval-mot", "--gt", scen / "gt.json", "--pred", f]),
+        "zones": (zones, lambda f, w: ["analyze", "--tracks", tracks, "--zones", f]),
+        "csv": (tracks, lambda f, w: ["analyze", "--tracks", f]),
+    }
+
+
+def _broken_copy(valid_inputs, tmp_path, fmt, data):
+    """Write ``data`` as a copy of the ``fmt`` input; the copy's path and the argv that reads it."""
+    source, argv = valid_inputs[fmt]
+    work = tmp_path / fmt
+    if fmt == "labelme" and not work.exists():  # the other labelme files of the directory stay valid
+        shutil.copytree(source.parent, work)
+    work.mkdir(exist_ok=True)
+    target = work / source.name
+    target.write_bytes(data)
+    return target, argv(target, tmp_path)
+
+
+FORMATS = ["labelme", "coco", "jsonl", "zones", "csv"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bad_utf8_names_file_and_offset(valid_inputs, tmp_path, capsys, fmt):
+    data = valid_inputs[fmt][0].read_bytes()
+    target, argv = _broken_copy(valid_inputs, tmp_path, fmt, data[:20] + b"\xff" + data[20:])
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {target}: invalid UTF-8 at byte 20: invalid start byte\n"
+
+
+_SWAPS = [None, True, 0, -1, 2.5, 10**30, math.nan, math.inf, "", "x", [], {}, [1, "x"]]
+_CSV_SWAPS = ["", "x", "-1", "0", "nan", "1e400", "9" * 30, "true"]
+
+
+def _value_paths(value, path=()):
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _value_paths(child, path + (key,))
+
+
+def _mutate_value(doc, data):
+    """Swap the value at one path for another type, or delete it; every depth is drawn as often."""
+    paths = list(_value_paths(doc))[1:]
+    depth = data.draw(st.sampled_from(sorted({len(p) for p in paths})))
+    path = data.draw(st.sampled_from([p for p in paths if len(p) == depth]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(_SWAPS))
+
+
+@given(fmt=st.sampled_from(FORMATS), data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_input_exits_0_or_names_the_file(valid_inputs, tmp_path, capsys, fmt, data):
+    raw = valid_inputs[fmt][0].read_bytes()
+    kind = data.draw(st.sampled_from(["structure", "structure", "truncate", "bad-utf8"]))
+    if kind == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif kind == "bad-utf8":
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    elif fmt == "csv":
+        rows = [line.split(",") for line in raw.decode().splitlines()]
+        row = data.draw(st.sampled_from(rows))
+        col = data.draw(st.integers(0, len(row) - 1))
+        if data.draw(st.booleans()):
+            del row[col]
+        else:
+            row[col] = data.draw(st.sampled_from(_CSV_SWAPS))
+        raw = "".join(",".join(r) + "\n" for r in rows).encode()
+    elif fmt == "jsonl":
+        lines = [json.loads(line) for line in raw.decode().splitlines()]
+        _mutate_value(lines, data)
+        raw = "".join(json.dumps(x) + "\n" for x in lines).encode()
+    else:
+        doc = json.loads(raw)
+        _mutate_value(doc, data)
+        raw = json.dumps(doc).encode()
+    target, argv = _broken_copy(valid_inputs, tmp_path, fmt, raw)
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == 0 or (code == 1 and err.startswith(f"error: {target}: ")), (code, err)

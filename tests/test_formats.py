@@ -100,6 +100,37 @@ def test_parse_unsupported_shape_type_named():
         parse_labelme(text)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d["shapes"].append(7), "shape 0: record must be an object"),
+        (lambda d: d["shapes"].append({"label": "a", "points": [[1, "x"]], "shape_type": "point"}),
+         'shape 0: invalid points: expected a finite number, got "x"'),
+        (lambda d: d["shapes"].append({"label": "a", "points": [[1, math.nan]], "shape_type": "point"}),
+         "shape 0: invalid points: expected a finite number, got NaN"),
+        (lambda d: d["shapes"].append({"label": "a", "points": [[1, 2, 3]], "shape_type": "point"}),
+         "shape 0: invalid points: expected a list of [x, y] points, got [[1, 2, 3]]"),
+        (lambda d: d["shapes"].append(polygon_shape("", SQUARE_PTS)),
+         'shape 0: invalid label: expected a non-empty string, got ""'),
+        (lambda d: d["shapes"].append(polygon_shape("a", SQUARE_PTS, group_id=True)),
+         "shape 0: invalid group_id: expected an integer, got true"),
+        (lambda d: d.update(imageHeight=True), "top level: invalid imageHeight: expected an integer, got true"),
+        (lambda d: d.update(imageHeight=64.5), "top level: invalid imageHeight: expected an integer, got 64.5"),
+        (lambda d: d.update(imageWidth=0), "top level: invalid imageWidth: expected an integer >= 1, got 0"),
+        (lambda d: d.pop("imagePath"), "top level: missing field 'imagePath'"),
+        (lambda d: d.update(shapes={}), "shapes must be a list"),
+    ],
+    ids=["shape-not-object", "point-string", "point-nan", "point-triple", "empty-label", "bool-group-id",
+         "bool-height", "fractional-height", "zero-width", "no-image-path", "shapes-object"],
+)
+def test_parse_labelme_invalid_field_names_record(edit, message):
+    doc = json.loads(labelme_json())
+    edit(doc)
+    with pytest.raises(SchemaError) as e:
+        parse_labelme(json.dumps(doc))
+    assert str(e.value) == message
+
+
 def test_parse_point_shape():
     text = labelme_json(shapes=[{"label": "nose", "points": [[5, 6]], "shape_type": "point"}])
     (shape,) = parse_labelme(text).shapes
@@ -363,7 +394,8 @@ def test_coco_missing_field_names_record(section, kind):
     "field,value",
     [("image_id", "one"), ("category_id", None), ("area", [1]), ("bbox", [1, 2]), ("segmentation", [[0, 0, "x", 1, 2, 2]]),
      ("id", True), ("image_id", "1"), ("category_id", 1.5), ("iscrowd", False), ("area", "100"), ("area", True),
-     ("bbox", ["1", "2", "3", "4"]), ("bbox", [1, 2, True, 4])],
+     ("bbox", ["1", "2", "3", "4"]), ("bbox", [1, 2, True, 4]), ("bbox", [math.nan, 1, 2, 3]),
+     ("bbox", [1, 2, math.inf, 3])],
 )
 def test_coco_invalid_annotation_field_names_record(field, value):
     doc = _coco_doc()
@@ -393,6 +425,30 @@ def test_coco_invalid_area_rejected(value, shown):
     doc["annotations"][1]["area"] = value
     with pytest.raises(SchemaError, match=f"^annotation 1: invalid area: expected a finite number >= 0, got {shown}$"):
         read_coco(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field,value", [("height", -4), ("width", 0)])
+def test_coco_image_size_must_be_positive(field, value):
+    doc = _coco_doc()
+    doc["images"][1][field] = value
+    with pytest.raises(SchemaError, match=f"^image 1: invalid {field}: expected an integer >= 1, got {value}$"):
+        read_coco(json.dumps(doc))
+
+
+def test_coco_repeated_frame_index_rejected_on_read():
+    doc = _coco_doc(3)
+    for i, img in enumerate(doc["images"]):
+        img["frame_index"] = min(i, 1)
+    with pytest.raises(IntegrityError, match="^duplicate frame_index 1$"):
+        read_coco(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"images": [' + "9" * 5000 + "]}"], ids=["deep-nesting", "huge-int"])
+def test_json_beyond_the_decoder_limits_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="^malformed JSON: "):
+        read_coco(text)
+    with pytest.raises(ParseError, match="^line 1: malformed JSON: "):
+        parse_predictions(text)
 
 
 def test_coco_integral_float_reads_as_int():
@@ -487,14 +543,16 @@ def test_parse_predictions_missing_field():
 def test_parse_predictions_rejects_booleans(field, value):
     raw = json.loads(prediction_line())
     raw[field] = value
-    with pytest.raises(SchemaError, match=f"^line 2: {field} must be"):
+    expected = "an integer" if field == "frame" else "a number"
+    with pytest.raises(SchemaError, match=f"^line 2: invalid {field}: expected {expected}, got {json.dumps(value)}$"):
         parse_predictions(prediction_line() + "\n" + json.dumps(raw))
 
 
 @pytest.mark.parametrize(
     "field,value",
     [("bbox", [1, "x", 3, 4]), ("segmentation", [[0, 0, "x", 0, 4, 4]]), ("segmentation", {"size": ["h", 4], "counts": "0"}),
-     ("bbox", ["1", "2", "3", "4"]), ("bbox", [1, 2, 3, False])],
+     ("bbox", ["1", "2", "3", "4"]), ("bbox", [1, 2, 3, False]), ("bbox", [math.nan, 1, 2, 3]), ("bbox", [1, 2, 3]),
+     ("frame", -1), ("frame", 2.5), ("label", ""), ("label", 3)],
 )
 def test_parse_predictions_non_numeric_names_line(field, value):
     raw = json.loads(prediction_line())

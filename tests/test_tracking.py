@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segtrack.errors import SchemaError
 from segtrack.geometry import BoundingBox, Point, Polygon, mask_to_rle
 from segtrack.tracking import (
     Bout,
@@ -331,3 +332,25 @@ def test_tracks_csv_gaps_absent_and_interpolated_states():
         "5,a,false,,,,false", "5,b,true,1.0000,2.0000,0.500000,false", "5,c,false,,,,false",
         "6,a,true,9.0000,9.5000,1.000000,false", "6,b,false,,,,false", "6,c,false,,,,false",
     ]) + "\n"
+
+
+_CSV_HEAD = "frame,label,present,cx,cy,score,interpolated\n0,a,true,1.0,2.0,0.9,false\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (_CSV_HEAD + "1,a,true,1.0,2.0\n", "line 3: not enough values to unpack (expected 7, got 5)"),
+        (_CSV_HEAD + "1,a,yes,1.0,2.0,0.9,false\n", "line 3: present must be true or false, got 'yes'"),
+        (_CSV_HEAD + "one,a,true,1.0,2.0,0.9,false\n", "line 3: invalid literal for int() with base 10: 'one'"),
+        (_CSV_HEAD + "1,a,true,1.0,,0.9,false\n", "line 3: could not convert string to float: ''"),
+        (_CSV_HEAD.replace("\n", "\r", 1), "line 1: new-line character seen in unquoted field"),
+        ("frame,label\n", "line 1: unexpected header ['frame', 'label']"),
+        (_CSV_HEAD + "0,a,true,3.0,4.0,0.8,false\n", "track 'a' has two states at frame 0"),
+    ],
+    ids=["short-row", "bad-present", "bad-frame", "empty-cy", "carriage-return", "bad-header", "repeated-frame"],
+)
+def test_tracks_csv_malformed_row_names_line(text, message):
+    with pytest.raises(SchemaError) as e:
+        read_tracks_csv(text)
+    assert str(e.value).startswith(message)
