@@ -11,6 +11,8 @@ Segmentations are accepted in all three COCO forms wherever one is read:
 polygon list-of-rings, uncompressed RLE ``{"size": [h, w], "counts":
 [..]}``, and compressed RLE with a counts string.  One ring reads as a
 ``Polygon`` and several as a ``MultiPolygon``; each is written back as rings.
+``read_coco`` and ``parse_predictions`` check every field first and then
+decode the file's counts strings in batches (``geometry.rle_decode_many``).
 """
 
 from __future__ import annotations
@@ -287,7 +289,9 @@ def labelme_to_coco(docs: Sequence[LabelmeDocument], keypoint_radius: float = 5.
     shapes become 16-gon regions.  Shapes sharing (label, group_id) with
     a non-null group_id within one document merge into a single
     multi-ring annotation.  Images keep their input position as
-    ``frame_index``.
+    ``frame_index``.  A region whose area or bbox overflows to a
+    non-finite value raises :class:`OutOfRangeError` naming its document
+    and first shape.
     """
     if not docs:
         raise ValueError("need at least one document")
@@ -313,27 +317,26 @@ def labelme_to_coco(docs: Sequence[LabelmeDocument], keypoint_radius: float = 5.
                 frame_index=doc_idx,
             )
         )
-        groups: dict[object, list[Polygon]] = {}
-        order: list[object] = []
+        groups: dict[object, tuple[int, list[Polygon]]] = {}  # the first shape's index and the rings
         for shape_idx, shape in enumerate(doc.shapes):
             if shape.shape_type == "point":
                 ring = keypoint_to_region(shape.points[0], keypoint_radius)
             else:
                 ring = Polygon(shape.points)
             key = (shape.label, shape.group_id) if shape.group_id is not None else (shape.label, None, shape_idx)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(ring)
-        for key in order:
-            rings = groups[key]
-            label = key[0]
+            groups.setdefault(key, (shape_idx, []))[1].append(ring)
+        for key, (first, rings) in groups.items():
             seg: Segmentation = rings[0] if len(rings) == 1 else MultiPolygon(rings)
+            if not all(map(math.isfinite, (seg.area, *seg.bbox))):  # finite coordinates can overflow both
+                raise OutOfRangeError(
+                    f"document {doc.image_path!r}, shape {first}: coordinates too large:"
+                    f" area {json.dumps(seg.area)}, bbox {json.dumps(list(seg.bbox))}"
+                )
             ds.annotations.append(
                 CocoAnnotation(
                     id=ann_id,
                     image_id=image_id,
-                    category_id=cat_ids[label],
+                    category_id=cat_ids[key[0]],
                     segmentation=seg,
                     bbox=seg.bbox,
                     area=seg.area,
@@ -426,6 +429,15 @@ def encode_segmentation(seg: Segmentation):
 
 def decode_segmentation(form) -> Segmentation:
     """Accept any of the three COCO segmentation forms."""
+    seg = _segmentation(form)
+    if type(seg) is tuple:
+        counts, (h, w) = seg
+        return geometry.rle_decode_string(counts, h, w)
+    return seg
+
+
+def _segmentation(form) -> Segmentation | tuple[str, tuple[int, int]]:
+    """A COCO segmentation form, checked; a counts string is returned undecoded, as ``(counts, (h, w))``."""
     if isinstance(form, list):
         if not form:
             raise SchemaError("empty polygon segmentation")
@@ -442,11 +454,27 @@ def decode_segmentation(form) -> Segmentation:
             raise SchemaError(f"RLE size must be [height, width], got {size!r}")
         h, w = _int(size[0]), _int(size[1])
         if isinstance(counts, str):
-            return geometry.rle_decode_string(counts, h, w)
+            return counts, (h, w)
         if isinstance(counts, list):
             return RleMask(h, w, tuple(_int(c) for c in counts))
         raise SchemaError(f"RLE counts must be a list or string, got {type(counts).__name__}")
     raise SchemaError(f"unsupported segmentation form: {type(form).__name__}")
+
+
+def _decode_masks(pending: list[tuple[str, tuple[str, tuple[int, int]]]]) -> list[RleMask]:
+    """The masks of ``(where, (counts, (h, w)))`` counts strings, decoded in batches.
+
+    A corrupt string raises the error :func:`geometry.rle_decode_string`
+    would, naming its record ``where``.
+    """
+    decoded = geometry.rle_decode_many([form[0] for _, form in pending], [form[1] for _, form in pending])
+    masks = []
+    for where, _ in pending:
+        try:
+            masks.append(next(decoded))
+        except SegtrackError as e:
+            raise type(e)(f"{where}: {e}") from e
+    return masks
 
 
 def write_coco(ds: CocoDataset) -> bytes:
@@ -484,6 +512,9 @@ def read_coco(data: bytes | str) -> CocoDataset:
 
     A malformed record raises a :class:`SchemaError` that names it by
     section and position, e.g. ``annotation 3: missing field 'id'``.
+    Every field of every record is checked before the counts strings
+    are decoded, so a corrupt string is reported only in a file whose
+    fields are all well-formed.
     """
     doc = _document(data)
     ds = CocoDataset()
@@ -499,18 +530,22 @@ def read_coco(data: bytes | str) -> CocoDataset:
                 frame_index=_field(raw, "frame_index", _optional_int, where, None),
             )
         )
+    pending = []  # annotations whose counts string is decoded below, with the rest of the file's
     for where, raw in _records(doc.get("annotations", []), "annotations", "annotation"):
-        ds.annotations.append(
-            CocoAnnotation(
-                id=_field(raw, "id", _int, where),
-                image_id=_field(raw, "image_id", _int, where),
-                category_id=_field(raw, "category_id", _int, where),
-                segmentation=_field(raw, "segmentation", decode_segmentation, where),
-                bbox=_field(raw, "bbox", _bbox, where, BoundingBox(0.0, 0.0, 0.0, 0.0)),
-                area=_field(raw, "area", _area, where, 0.0),
-                iscrowd=_field(raw, "iscrowd", _int, where, 0),
-            )
+        ann = CocoAnnotation(
+            id=_field(raw, "id", _int, where),
+            image_id=_field(raw, "image_id", _int, where),
+            category_id=_field(raw, "category_id", _int, where),
+            segmentation=_field(raw, "segmentation", _segmentation, where),
+            bbox=_field(raw, "bbox", _bbox, where, BoundingBox(0.0, 0.0, 0.0, 0.0)),
+            area=_field(raw, "area", _area, where, 0.0),
+            iscrowd=_field(raw, "iscrowd", _int, where, 0),
         )
+        if type(ann.segmentation) is tuple:
+            pending.append((where, ann))
+        ds.annotations.append(ann)
+    for (_, ann), mask in zip(pending, _decode_masks([(where, ann.segmentation) for where, ann in pending])):
+        ann.segmentation = mask
 
     problems = []
     for name, items in (("image", ds.images), ("annotation", ds.annotations), ("category", ds.categories)):
@@ -538,7 +573,9 @@ def read_coco(data: bytes | str) -> CocoDataset:
 def parse_predictions(stream: bytes | str | Iterable[str]) -> list[DetectionRecord]:
     """Parse a JSON-Lines prediction stream, one record per line.
 
-    Errors carry the 1-based line number; blank lines are skipped.
+    Errors carry the 1-based line number; blank lines are skipped.  As
+    in :func:`read_coco`, counts strings are decoded after every field
+    of every line is checked.
     """
     if isinstance(stream, bytes):
         lines: Iterable[str] = stream.decode("utf-8").splitlines()
@@ -547,7 +584,7 @@ def parse_predictions(stream: bytes | str | Iterable[str]) -> list[DetectionReco
     else:
         lines = stream
 
-    records = []
+    rows = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -557,16 +594,21 @@ def parse_predictions(stream: bytes | str | Iterable[str]) -> list[DetectionReco
             raw = _document(line)
         except SegtrackError as e:
             raise type(e)(f"{where}: {e}") from e
-        records.append(
-            DetectionRecord(
-                frame=_field(raw, "frame", _index, where),
-                label=_field(raw, "label", _name, where),
-                score=_field(raw, "score", _score, where),
-                bbox=_field(raw, "bbox", _bbox, where),
-                segmentation=_field(raw, "segmentation", decode_segmentation, where),
+        rows.append(
+            (
+                where,
+                _field(raw, "frame", _index, where),
+                _field(raw, "label", _name, where),
+                _field(raw, "score", _score, where),
+                _field(raw, "bbox", _bbox, where),
+                _field(raw, "segmentation", _segmentation, where),
             )
         )
-    return records
+    masks = iter(_decode_masks([(row[0], row[5]) for row in rows if type(row[5]) is tuple]))
+    return [
+        DetectionRecord(frame, label, score, next(masks) if type(seg) is tuple else seg, bbox)
+        for _, frame, label, score, bbox, seg in rows
+    ]
 
 
 def write_predictions(records: Sequence[DetectionRecord]) -> bytes:

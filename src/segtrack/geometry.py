@@ -478,7 +478,11 @@ def rle_encode_string(r: RleMask) -> str:
 
 
 def rle_decode_string(s: str, height: int, width: int) -> RleMask:
-    """Inverse of :func:`rle_encode_string`; validates the counts against the size."""
+    """Inverse of :func:`rle_encode_string`; validates the counts against the size.
+
+    This is the one-string case of :func:`rle_decode_many`, and the
+    decoder whose errors that function reproduces.
+    """
     counts: list[int] = []
     i, n = 0, len(s)
     while i < n:
@@ -505,6 +509,65 @@ def rle_decode_string(s: str, height: int, width: int) -> RleMask:
             raise CorruptStringError(f"decoded negative run length {x}")
         counts.append(x)
     return RleMask(height, width, tuple(counts))
+
+
+_DECODE_CHUNK = 512  # strings per numpy pass: a whole file at once holds far more memory, and runs slower
+_SUM_BOUND = 2.0**62  # a string whose values' magnitudes may sum past this could overflow int64
+
+
+def rle_decode_many(strings: Sequence[str], sizes: Sequence[tuple[int, int]]) -> Iterator[RleMask]:
+    """Yield ``rle_decode_string(s, h, w)`` for each string and ``(h, w)`` size, in order.
+
+    The strings are decoded in numpy passes over chunks of
+    ``_DECODE_CHUNK``, after the COCO API's ``rleFrString``.  A string
+    the pass cannot prove sound (a character outside [48, 111], a
+    truncated continuation, a value that could overflow, a negative
+    count) goes through :func:`rle_decode_string` itself, so it raises
+    exactly what that raises, when the iteration reaches it.  Every mask
+    passes the :class:`RleMask` checks.
+    """
+    for lo in range(0, len(strings), _DECODE_CHUNK):
+        yield from _decode_chunk(strings[lo : lo + _DECODE_CHUNK], sizes[lo : lo + _DECODE_CHUNK])
+
+
+def _decode_chunk(strings: Sequence[str], sizes: Sequence[tuple[int, int]]) -> Iterator[RleMask]:
+    n = len(strings)
+    lengths = np.fromiter(map(len, strings), np.intp, n)
+    # one code point per character, so a non-ASCII one cannot pass for a valid group
+    c = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.int64) - 48
+    string_of = np.repeat(np.arange(n), lengths)  # per character
+    unsound = np.zeros(n, dtype=bool)
+    unsound[string_of[(c < 0) | (c > 63)]] = True
+    more = (c & 0x20) != 0  # a group follows in the same value
+    last = (np.cumsum(lengths) - 1)[lengths > 0]
+    unsound[string_of[last]] |= more[last]  # truncated continuation
+    more[last] = False  # so no value runs into the next string
+    ends = np.flatnonzero(~more)  # last group of each value
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    groups = ends - starts + 1
+    k = np.arange(len(c)) - np.repeat(starts, groups)  # group index in its value
+    x = np.add.reduceat((c & 0x1F) << (5 * k), starts)
+    groups = np.minimum(groups, 13)  # a longer value is over the bound anyway
+    x -= ((c[ends] & 0x10) != 0) << (5 * groups)  # the sign rule
+    # |x| <= 2**(5 * groups), and a string under the bound keeps every running sum exact in int64;
+    # past 12 groups a value may wrap, but its string is over the bound
+    value_of = string_of[ends]  # string of each value
+    unsound |= np.bincount(value_of, np.exp2(5.0 * groups), n) >= _SUM_BOUND
+    # undo the delta x[i] += x[i - 2]: a running sum per parity class, restarted at each string
+    # (the sums run on across strings and may wrap, but each string's differences are exact)
+    n_values = np.bincount(value_of, minlength=n)
+    first = np.cumsum(n_values) - n_values
+    head = first[value_of]  # first value of each value's string
+    even = (np.arange(len(x)) - head) & 1 == 0
+    x_even = np.where(even, x, 0)
+    x_odd = x - x_even
+    run_even, run_odd = np.cumsum(x_even), np.cumsum(x_odd)
+    counts = np.where(even, run_even - (run_even - x_even)[head], run_odd - (run_odd - x_odd)[head])
+    unsound[value_of[counts < 0]] = True
+    flat = counts.tolist()
+    bounds = first.tolist() + [len(flat)]
+    for s, (h, w), bad, lo, hi in zip(strings, sizes, unsound.tolist(), bounds, bounds[1:]):
+        yield rle_decode_string(s, h, w) if bad else RleMask(h, w, tuple(flat[lo:hi]))
 
 
 def rle_iou(a: RleMask, b: RleMask, crowd: bool = False) -> float:

@@ -339,14 +339,21 @@ def read_tracks_csv(data: bytes | str) -> list[Track]:
             if not row:
                 continue
             frame, label, present, cx, cy, score, interpolated = row
-            by_label.setdefault(label, [])
+            if interpolated != "false" and interpolated != "true":
+                raise ValueError(f"interpolated must be true or false, got {interpolated!r}")
+            if label not in by_label:  # not setdefault, which would make a list for every row
+                by_label[label] = []
             if present == "true":
+                x, y = (float(cx), float(cy)) if cx else (0.0, 0.0)
+                s = float(score) if score else 0.0
+                if (x - x) + (y - y) + (s - s) != 0.0:  # v - v is 0.0 for a finite v, NaN for nan or inf
+                    raise ValueError(f"cx, cy and score must be finite, got {cx!r}, {cy!r}, {score!r}")
                 by_label[label].append(
                     TrackState(
                         frame=int(frame),
-                        score=float(score) if score else None,
+                        score=s if score else None,
                         interpolated=interpolated == "true",
-                        point=Point(float(cx), float(cy)) if cx else None,
+                        point=Point(x, y) if cx else None,
                     )
                 )
             elif present != "false":

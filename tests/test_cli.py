@@ -86,6 +86,19 @@ def test_convert_refuses_overwrite(tmp_path):
     assert run(["convert", "--labelme-dir", labels, "--out", coco, "--force"]) == 0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_convert_of_overflowing_coordinates_writes_nothing(tmp_path, capsys):
+    labels = write_labelme_dir(tmp_path, n=2)
+    doc = json.loads((labels / "frame_001.json").read_text())
+    doc["shapes"][1] = {"label": "nose", "points": [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]]}
+    (labels / "frame_001.json").write_text(json.dumps(doc))
+    assert run(["convert", "--labelme-dir", labels, "--out", tmp_path / "coco.json"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: document 'frame_001.png', shape 1: coordinates too large: area Infinity, "
+    )
+    assert not (tmp_path / "coco.json").exists()
+
+
 def test_failed_write_keeps_old_target_and_leaves_no_temp(tmp_path, monkeypatch, capsys):
     real_open = open
 

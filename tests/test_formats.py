@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
 from segtrack.errors import (
     ConflictError,
     CorruptRleError,
+    CorruptStringError,
     IntegrityError,
     OutOfRangeError,
     ParseError,
@@ -224,6 +226,17 @@ def test_convert_duplicate_file_name():
         parse_labelme(labelme_json("a.png", [polygon_shape("y", SQUARE_PTS)])),
     ]
     with pytest.raises(ConflictError):
+        labelme_to_coco(docs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("group_id", [None, 4], ids=["one-shape", "grouped"])
+def test_convert_rejects_coordinates_whose_area_overflows(group_id):
+    huge = [(0, 0), (1e200, 0), (1e200, 1e200), (0, 1e200)]
+    shapes = [polygon_shape("a", SQUARE_PTS), polygon_shape("b", SQUARE_PTS, group_id), polygon_shape("b", huge, group_id)]
+    docs = [parse_labelme(labelme_json("a.png", [polygon_shape("a", SQUARE_PTS)])), parse_labelme(labelme_json("b.png", shapes))]
+    shape = 1 if group_id is not None else 2
+    with pytest.raises(OutOfRangeError, match=f"^document 'b.png', shape {shape}: coordinates too large: area Infinity, "):
         labelme_to_coco(docs)
 
 
@@ -465,6 +478,21 @@ def test_coco_segmentation_errors_name_record():
         read_coco(json.dumps(doc))
 
 
+_BAD_COUNTS = [
+    ("0~", CorruptStringError, "character '~' at offset 1 outside [48, 111]"),
+    ("T", CorruptStringError, "truncated continuation after 1 group(s) at offset 1"),
+    ("9", CorruptRleError, "counts sum 9 != 4x4 = 16"),
+]
+
+
+@pytest.mark.parametrize("counts,error,message", _BAD_COUNTS, ids=["bad-character", "truncated", "wrong-sum"])
+def test_coco_bad_counts_string_names_record(counts, error, message):
+    doc = _coco_doc(3)
+    doc["annotations"][1]["segmentation"] = {"size": [4, 4], "counts": counts}
+    with pytest.raises(error, match=f"^{re.escape(f'annotation 1: {message}')}$"):
+        read_coco(json.dumps(doc))
+
+
 @pytest.mark.parametrize("bad", [7, ["not an object"]])
 def test_coco_malformed_section_rejected(bad):
     doc = _coco_doc()
@@ -559,6 +587,14 @@ def test_parse_predictions_non_numeric_names_line(field, value):
     raw[field] = value
     with pytest.raises(SchemaError, match=f"^line 2: invalid {field}: "):
         parse_predictions(prediction_line() + "\n" + json.dumps(raw))
+
+
+@pytest.mark.parametrize("counts,error,message", _BAD_COUNTS, ids=["bad-character", "truncated", "wrong-sum"])
+def test_parse_predictions_bad_counts_string_names_line(counts, error, message):
+    raw = json.loads(prediction_line())
+    raw["segmentation"] = {"size": [4, 4], "counts": counts}
+    with pytest.raises(error, match=f"^{re.escape(f'line 3: {message}')}$"):
+        parse_predictions("\n".join([prediction_line(), "", json.dumps(raw), prediction_line()]))
 
 
 def test_predictions_roundtrip():

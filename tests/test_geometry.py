@@ -14,6 +14,7 @@ from segtrack.errors import (
     InvalidPolygonError,
 )
 from segtrack.geometry import (
+    _DECODE_CHUNK,
     BoundingBox,
     MultiPolygon,
     Point,
@@ -27,6 +28,7 @@ from segtrack.geometry import (
     polygon_contains,
     polygon_perimeter,
     rasterize,
+    rle_decode_many,
     rle_decode_string,
     rle_encode_string,
     rle_iou,
@@ -235,6 +237,79 @@ def test_rle_string_rejects_truncation():
 def test_rle_string_rejects_wrong_size():
     with pytest.raises(CorruptRleError):
         rle_decode_string("9", 2, 2)
+
+
+@st.composite
+def _encoded_masks(draw):
+    """``(counts string, (h, w))`` of a legal mask up to 512x512; runs may be empty or whole columns."""
+    h = draw(st.integers(1, 512))
+    w = draw(st.integers(1, 512))
+    total = h * w
+    cut = st.one_of(st.integers(0, total), st.integers(0, w).map(lambda k: k * h))
+    cuts = sorted(draw(st.lists(cut, max_size=40)))
+    return rle_encode_string(RleMask(h, w, tuple(np.diff([0, *cuts, total]).tolist()))), (h, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_encoded_masks(), max_size=6))
+@example([])
+@example([("T3l0", (8, 16))])
+@example([("1", (1, 1)), ("01", (1, 1)), ("001", (1, 1))])  # zero-length runs
+def test_rle_decode_many_equals_one_at_a_time(items):
+    strings = [s for s, _ in items]
+    sizes = [size for _, size in items]
+    assert list(rle_decode_many(strings, sizes)) == [rle_decode_string(s, h, w) for s, (h, w) in items]
+
+
+def _each_outcome(masks):
+    """The masks an iteration yields, then ``(class, message)`` of the error that ends it, if any."""
+    out = []
+    try:
+        for mask in masks:
+            out.append(mask)
+    except (CorruptStringError, CorruptRleError) as e:
+        out.append((type(e), str(e)))
+    return out
+
+
+_TWELVE_GROUPS = "o" * 11 + "?"  # 2**59 - 1 in twelve groups, the most groups the numpy pass decodes itself
+_ADVERSARIAL = st.one_of(
+    st.text(st.one_of(st.characters(min_codepoint=40, max_codepoint=120), st.characters(exclude_categories=())),
+            max_size=12),
+    st.text(st.characters(min_codepoint=48, max_codepoint=111), max_size=8).map(lambda s: s + "o"),  # unterminated
+    st.integers(12, 20).map(lambda k: "o" * k + "1"),  # a value of 13 or more groups
+    st.integers(1, 40).map(lambda k: _TWELVE_GROUPS * k),  # running sums up to and past 2**63
+    st.integers(0, 9).map(lambda k: "0" + _TWELVE_GROUPS + "0" * k + "P" * 11 + "O"),  # a delta of -2**55
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_ADVERSARIAL, _encoded_masks().map(lambda e: e[0])), max_size=5), st.sampled_from([(1, 1), (3, 5)]))
+@example(["0~"], (1, 1))
+@example(["0?"], (1, 1))  # '?' is what encode("latin-1", "replace") makes of a non-ASCII character
+@example(["0é"], (1, 1))
+@example(["0\ud800"], (1, 1))
+@example(["5", "0" * 13 + "5"], (1, 5))
+def test_rle_decode_many_fails_as_one_at_a_time(strings, size):
+    """Each string gives the same mask, or the same error class and message, through both decoders."""
+    for s in strings:
+        assert _each_outcome(rle_decode_many([s], [size])) == _each_outcome(rle_decode_string(s, *size) for s in [s])
+    one_at_a_time = (rle_decode_string(s, *size) for s in strings)
+    assert _each_outcome(rle_decode_many(strings, [size] * len(strings))) == _each_outcome(one_at_a_time)
+
+
+def test_rle_decode_many_crosses_chunks():
+    rng = np.random.default_rng(5)
+    masks = [mask_to_rle(rng.random((h, w)) < 0.3) for h, w in rng.integers(1, 24, size=(2 * _DECODE_CHUNK + 7, 2))]
+    strings = [rle_encode_string(r) for r in masks]
+    sizes = [(r.height, r.width) for r in masks]
+    assert list(rle_decode_many(strings, sizes)) == masks
+    bad = _DECODE_CHUNK + 3
+    strings[bad] = "0~"
+    decoded = rle_decode_many(strings, sizes)
+    assert [next(decoded) for _ in range(bad)] == masks[:bad]
+    with pytest.raises(CorruptStringError, match=r"^character '~' at offset 1 outside \[48, 111\]$"):
+        next(decoded)
 
 
 # ---------------------------------------------------------------------------

@@ -347,8 +347,14 @@ _CSV_HEAD = "frame,label,present,cx,cy,score,interpolated\n0,a,true,1.0,2.0,0.9,
         (_CSV_HEAD.replace("\n", "\r", 1), "line 1: new-line character seen in unquoted field"),
         ("frame,label\n", "line 1: unexpected header ['frame', 'label']"),
         (_CSV_HEAD + "0,a,true,3.0,4.0,0.8,false\n", "track 'a' has two states at frame 0"),
+        (_CSV_HEAD + "1,a,true,nan,1,0.5,false\n", "line 3: cx, cy and score must be finite, got 'nan', '1', '0.5'"),
+        (_CSV_HEAD + "1,a,true,1,-inf,0.5,false\n", "line 3: cx, cy and score must be finite, got '1', '-inf', '0.5'"),
+        (_CSV_HEAD + "1,a,true,,,NaN,false\n", "line 3: cx, cy and score must be finite, got '', '', 'NaN'"),
+        (_CSV_HEAD + "1,a,true,1,1,0.5,maybe\n", "line 3: interpolated must be true or false, got 'maybe'"),
+        (_CSV_HEAD + "1,a,false,,,,\n", "line 3: interpolated must be true or false, got ''"),
     ],
-    ids=["short-row", "bad-present", "bad-frame", "empty-cy", "carriage-return", "bad-header", "repeated-frame"],
+    ids=["short-row", "bad-present", "bad-frame", "empty-cy", "carriage-return", "bad-header", "repeated-frame",
+         "nan-cx", "infinite-cy", "nan-score", "bad-interpolated", "absent-empty-interpolated"],
 )
 def test_tracks_csv_malformed_row_names_line(text, message):
     with pytest.raises(SchemaError) as e:
