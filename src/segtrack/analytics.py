@@ -108,17 +108,17 @@ def zone_occupancy(track: Track, zones: Sequence[ZoneDefinition]) -> dict[str, Z
 
 
 def interaction_events(
-    a: Track,
-    b: Track,
+    tracks: Sequence[Track],
     criterion: str = "centroid_distance",
     threshold: float = 0.1,
     min_duration: int = 1,
 ) -> list[InteractionEvent]:
-    """Maximal runs of frames where two animals satisfy a closeness criterion.
+    """Maximal runs of frames where two animals satisfy a closeness criterion, for every pair of tracks.
 
-    ``mask_iou`` requires stored segmentations on both tracks and fails
-    naming the frames that lack them; ``centroid_distance`` compares
-    centroid separation against the threshold in pixels.
+    Events are sorted by start frame, then labels.  ``mask_iou`` fails
+    naming the frames where two or more tracks are present and one has no
+    stored segmentation; ``centroid_distance`` compares centroid
+    separation against the threshold in pixels.
     """
     if criterion not in ("mask_iou", "centroid_distance"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -128,47 +128,48 @@ def interaction_events(
         raise ValueError(f"distance threshold must be > 0, got {threshold}")
     if min_duration < 1:
         raise ValueError(f"min_duration must be >= 1, got {min_duration}")
-    if a.label == b.label:
+    tracks = sorted(tracks, key=lambda t: t.label)
+    if len({t.label for t in tracks}) < len(tracks):
         raise ValueError("tracks must carry distinct labels")
 
-    common = sorted(set(a.present_frames()) & set(b.present_frames()))
+    # one sweep over the frames, each holding (label, segmentation or centroid) of its tracks in label order
+    by_frame: dict[int, list[tuple[str, object]]] = {}
+    for track in tracks:
+        for s in track.states:
+            value = s.segmentation if criterion == "mask_iou" else s.centroid
+            by_frame.setdefault(s.frame, []).append((track.label, value))
     if criterion == "mask_iou":
-        missing = [
-            f for f in common
-            if a.state_at(f).segmentation is None or b.state_at(f).segmentation is None
-        ]
+        missing = sorted(
+            f for f, present in by_frame.items()
+            if len(present) > 1 and any(seg is None for _, seg in present)
+        )
         if missing:
             raise MissingDataError(f"frames missing segmentation for mask IoU: {brief_list(missing)}")
 
-    def holds(frame: int) -> bool:
-        sa, sb = a.state_at(frame), b.state_at(frame)
-        if criterion == "mask_iou":
-            return geometry.segmentation_iou(sa.segmentation, sb.segmentation) >= threshold
-        ca, cb = sa.centroid, sb.centroid
-        if ca is None or cb is None:
-            return False
-        return math.dist(ca, cb) <= threshold
-
-    labels = tuple(sorted((a.label, b.label)))
-    events = []
-    run_start = None
-    prev_frame = None
-    for frame in common:
-        ok = holds(frame)
-        contiguous = prev_frame is not None and frame == prev_frame + 1
-        if ok and run_start is not None and contiguous:
-            prev_frame = frame
-            continue
-        if run_start is not None and prev_frame is not None:
-            if prev_frame - run_start + 1 >= min_duration:
-                events.append(InteractionEvent(labels, run_start, prev_frame, criterion))
-            run_start = None
-        if ok:
-            run_start = frame
-        prev_frame = frame
-    if run_start is not None and prev_frame - run_start + 1 >= min_duration:
-        events.append(InteractionEvent(labels, run_start, prev_frame, criterion))
-    return events
+    # [labels, start, end]; runs open in frame, then label-pair order, so they need no sort
+    runs: list[list] = []
+    last_run: dict[tuple[str, str], list] = {}
+    for frame in sorted(by_frame):
+        present = by_frame[frame]
+        for i, (la, va) in enumerate(present):
+            for lb, vb in present[i + 1:]:
+                if criterion == "mask_iou":
+                    holds = geometry.segmentation_iou(va, vb) >= threshold
+                else:
+                    holds = va is not None and vb is not None and math.dist(va, vb) <= threshold
+                if not holds:
+                    continue
+                run = last_run.get((la, lb))
+                if run is not None and run[2] == frame - 1:
+                    run[2] = frame
+                else:
+                    run = last_run[(la, lb)] = [(la, lb), frame, frame]
+                    runs.append(run)
+    return [
+        InteractionEvent(labels, start, end, criterion)
+        for labels, start, end in runs
+        if end - start + 1 >= min_duration
+    ]
 
 
 # ---------------------------------------------------------------------------

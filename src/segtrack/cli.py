@@ -187,19 +187,9 @@ def _cmd_analyze(args) -> None:
     _emit(args.out, ("\n".join(lines) + "\n").encode("utf-8"), args.force)
 
     if args.interactions_out:
-        events = []
-        for i in range(len(tracks)):
-            for j in range(i + 1, len(tracks)):
-                events.extend(
-                    analytics.interaction_events(
-                        tracks[i],
-                        tracks[j],
-                        criterion="centroid_distance",
-                        threshold=args.interaction_distance,
-                        min_duration=args.min_duration,
-                    )
-                )
-        events.sort(key=lambda e: (e.start_frame, e.labels))
+        events = analytics.interaction_events(
+            tracks, threshold=args.interaction_distance, min_duration=args.min_duration
+        )
         rows = ["label_a,label_b,start_frame,end_frame"]
         rows += [f"{e.labels[0]},{e.labels[1]},{e.start_frame},{e.end_frame}" for e in events]
         _write_output(args.interactions_out, ("\n".join(rows) + "\n").encode("utf-8"), args.force)

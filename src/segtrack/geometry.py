@@ -70,7 +70,9 @@ class Polygon:
     to detect them); rings with fewer than 3 vertices or non-finite
     coordinates are rejected at construction.  :attr:`area`, :attr:`bbox`
     and :attr:`centroid` are derived from the vertices on first use and
-    kept with the ring; they take no part in ``==`` or ``hash``.
+    kept with the ring; they take no part in ``==`` or ``hash``.  Finite
+    coordinates too large for them give ``inf`` or ``nan`` without a numpy
+    warning, and callers check the result.
     """
 
     points: tuple[Point, ...]
@@ -101,6 +103,7 @@ class Polygon:
         return (self,)
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def area(self) -> float:
         """Unsigned area of the ring (shoelace formula); orientation-independent."""
         pts = self.as_array()
@@ -109,6 +112,7 @@ class Polygon:
         return abs(float(np.sum(x * y2 - x2 * y))) / 2.0
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def bbox(self) -> BoundingBox:
         """Tight axis-aligned bounds of the vertices."""
         pts = self.as_array()
@@ -117,6 +121,7 @@ class Polygon:
         return BoundingBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def centroid(self) -> Point:
         """Area-weighted centroid of the ring; the vertex mean when the ring has no area."""
         pts = self.as_array()

@@ -505,12 +505,14 @@ def evaluate_coco_ap(
         lst.sort(key=lambda t: (-t[1].score, t[0]))
         del lst[max_dets:]
 
+    keys_by_cat: dict[int, set[tuple[int, int]]] = {}
+    for key in [*gts_by_key, *dets_by_key]:
+        keys_by_cat.setdefault(key[1], set()).add(key)
     rows = []
     for cat in sorted(gt.categories, key=lambda c: c.id):
         units = []
         dets = []
-        keys = {k for k in gts_by_key if k[1] == cat.id} | {k for k in dets_by_key if k[1] == cat.id}
-        for key in sorted(keys):
+        for key in sorted(keys_by_cat.get(cat.id, ())):
             g = gts_by_key.get(key, [])
             d = dets_by_key.get(key, [])
             ious = [

@@ -168,23 +168,22 @@ def assemble_tracks(dets: Sequence[DetectionRecord]) -> list[Track]:
 
 def tracks_to_detections(tracks: Sequence[Track]) -> list[DetectionRecord]:
     """Flatten tracks back into frame-major detection records (states with a mask only)."""
-    out = []
-    frames = sorted({s.frame for t in tracks for s in t.states})
-    for frame in frames:
-        for track in tracks:
-            s = track.state_at(frame)
-            if s is None or s.segmentation is None:
-                continue
-            out.append(
-                DetectionRecord(
-                    frame=frame,
-                    label=track.label,
-                    score=s.score if s.score is not None else 1.0,
-                    segmentation=s.segmentation,
-                    bbox=s.segmentation.bbox,
-                )
-            )
-    return out
+    keyed = sorted(  # (frame, track index) is unique, so the sort never compares states
+        (s.frame, i, track.label, s)
+        for i, track in enumerate(tracks)
+        for s in track.states
+        if s.segmentation is not None
+    )
+    return [
+        DetectionRecord(
+            frame=frame,
+            label=label,
+            score=s.score if s.score is not None else 1.0,
+            segmentation=s.segmentation,
+            bbox=s.segmentation.bbox,
+        )
+        for frame, _, label, s in keyed
+    ]
 
 
 def interpolate_gaps(track: Track, max_gap: int) -> Track:

@@ -12,6 +12,10 @@ import math
 
 import numpy as np
 
+from segtrack import geometry
+from segtrack.analytics import InteractionEvent
+from segtrack.errors import MissingDataError, brief_list
+
 
 def raster_oracle(points, height, width):
     """Even-odd fill computed one pixel center at a time by ray casting.
@@ -378,3 +382,64 @@ def random_ap_dataset(seed, max_images=20, max_dets_per_image=10, canvas=160, st
     if stacked:
         preds = [preds[i] for i in rng.permutation(len(preds))]
     return ds, preds
+
+
+# ---------------------------------------------------------------------------
+# interaction events, one pair at a time
+
+
+def reference_interaction_events(a, b, criterion="centroid_distance", threshold=0.1, min_duration=1):
+    """Interaction runs of one pair of tracks, walking their common frames.
+
+    The library's former per-pair form: the frame sweep over all tracks
+    must give the sorted union of this over every pair.
+    """
+    if criterion not in ("mask_iou", "centroid_distance"):
+        raise ValueError(f"unknown criterion {criterion!r}")
+    if criterion == "mask_iou" and not 0.0 < threshold <= 1.0:
+        raise ValueError(f"mask_iou threshold must be in (0, 1], got {threshold}")
+    if criterion == "centroid_distance" and threshold <= 0:
+        raise ValueError(f"distance threshold must be > 0, got {threshold}")
+    if min_duration < 1:
+        raise ValueError(f"min_duration must be >= 1, got {min_duration}")
+    if a.label == b.label:
+        raise ValueError("tracks must carry distinct labels")
+
+    common = sorted(set(a.present_frames()) & set(b.present_frames()))
+    if criterion == "mask_iou":
+        missing = [
+            f for f in common
+            if a.state_at(f).segmentation is None or b.state_at(f).segmentation is None
+        ]
+        if missing:
+            raise MissingDataError(f"frames missing segmentation for mask IoU: {brief_list(missing)}")
+
+    def holds(frame):
+        sa, sb = a.state_at(frame), b.state_at(frame)
+        if criterion == "mask_iou":
+            return geometry.segmentation_iou(sa.segmentation, sb.segmentation) >= threshold
+        ca, cb = sa.centroid, sb.centroid
+        if ca is None or cb is None:
+            return False
+        return math.dist(ca, cb) <= threshold
+
+    labels = tuple(sorted((a.label, b.label)))
+    events = []
+    run_start = None
+    prev_frame = None
+    for frame in common:
+        ok = holds(frame)
+        contiguous = prev_frame is not None and frame == prev_frame + 1
+        if ok and run_start is not None and contiguous:
+            prev_frame = frame
+            continue
+        if run_start is not None and prev_frame is not None:
+            if prev_frame - run_start + 1 >= min_duration:
+                events.append(InteractionEvent(labels, run_start, prev_frame, criterion))
+            run_start = None
+        if ok:
+            run_start = frame
+        prev_frame = frame
+    if run_start is not None and prev_frame - run_start + 1 >= min_duration:
+        events.append(InteractionEvent(labels, run_start, prev_frame, criterion))
+    return events

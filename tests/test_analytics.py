@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
+import itertools
 import json
+import random
 
 import pytest
 
@@ -21,6 +24,8 @@ from segtrack.errors import MissingDataError
 from segtrack.geometry import Point, Polygon
 from segtrack.metrics import ApReport, ApRow, MotConfig, MotReport, evaluate_mot
 from segtrack.tracking import Track, TrackState
+
+from _oracles import reference_interaction_events
 
 
 def track_from_centroids(label, frame_centroids):
@@ -127,8 +132,7 @@ def test_interaction_centroid_distance_run():
     a_states = [(f, (0, 0)) for f in range(30)]
     b_states = [(f, (3, 0) if 10 <= f <= 20 else (50, 0)) for f in range(30)]
     events = interaction_events(
-        track_from_centroids("a", a_states),
-        track_from_centroids("b", b_states),
+        [track_from_centroids("a", a_states), track_from_centroids("b", b_states)],
         criterion="centroid_distance",
         threshold=5.0,
         min_duration=5,
@@ -140,8 +144,7 @@ def test_interaction_short_run_dropped():
     a_states = [(f, (0, 0)) for f in range(10)]
     b_states = [(f, (3, 0) if 4 <= f <= 6 else (50, 0)) for f in range(10)]
     events = interaction_events(
-        track_from_centroids("a", a_states),
-        track_from_centroids("b", b_states),
+        [track_from_centroids("a", a_states), track_from_centroids("b", b_states)],
         threshold=5.0,
         min_duration=5,
     )
@@ -151,7 +154,7 @@ def test_interaction_short_run_dropped():
 def test_interaction_absent_partner_no_events():
     a = track_from_centroids("a", [(f, (0, 0)) for f in range(10)])
     b = track_from_centroids("b", [(f + 100, (0, 0)) for f in range(10)])
-    assert interaction_events(a, b, threshold=5.0) == []
+    assert interaction_events([a, b], threshold=5.0) == []
 
 
 def test_interaction_symmetric():
@@ -159,7 +162,7 @@ def test_interaction_symmetric():
     b_states = [(f, (2, 0) if f % 7 < 4 else (50, 0)) for f in range(20)]
     a = track_from_centroids("a", a_states)
     b = track_from_centroids("b", b_states)
-    assert interaction_events(a, b, threshold=5.0) == interaction_events(b, a, threshold=5.0)
+    assert interaction_events([a, b], threshold=5.0) == interaction_events([b, a], threshold=5.0)
 
 
 def test_interaction_mask_iou_criterion():
@@ -167,7 +170,7 @@ def test_interaction_mask_iou_criterion():
     seg_b = square(2, 0, 10)
     a = track_of_mask("a", range(6), seg_a)
     b = track_of_mask("b", range(6), seg_b)
-    events = interaction_events(a, b, criterion="mask_iou", threshold=0.1, min_duration=2)
+    events = interaction_events([a, b], criterion="mask_iou", threshold=0.1, min_duration=2)
     assert events == [InteractionEvent(("a", "b"), 0, 5, "mask_iou")]
 
 
@@ -175,26 +178,92 @@ def test_interaction_mask_iou_missing_segmentation_names_frames():
     a = track_of_mask("a", [0, 1], square(0, 0))
     b = track_from_centroids("b", [(0, (0, 0)), (1, (0, 0))])  # no masks
     with pytest.raises(MissingDataError, match=r"\[0, 1\]"):
-        interaction_events(a, b, criterion="mask_iou", threshold=0.1)
+        interaction_events([a, b], criterion="mask_iou", threshold=0.1)
 
 
 def test_interaction_identical_labels_rejected():
     a = track_from_centroids("a", [(0, (0, 0))])
     b = track_from_centroids("a", [(0, (0, 0))])
     with pytest.raises(ValueError):
-        interaction_events(a, b, threshold=1.0)
+        interaction_events([a, b], threshold=1.0)
 
 
 def test_interaction_gap_in_presence_splits_runs():
     a_states = [(f, (0, 0)) for f in (0, 1, 2, 5, 6, 7)]
     b_states = [(f, (1, 0)) for f in (0, 1, 2, 5, 6, 7)]
     events = interaction_events(
-        track_from_centroids("a", a_states),
-        track_from_centroids("b", b_states),
+        [track_from_centroids("a", a_states), track_from_centroids("b", b_states)],
         threshold=5.0,
         min_duration=2,
     )
     assert [(e.start_frame, e.end_frame) for e in events] == [(0, 2), (5, 7)]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_interaction_fewer_than_two_tracks_give_no_events(n):
+    tracks = [track_from_centroids("a", [(f, (0, 0)) for f in range(5)])][:n]
+    assert interaction_events(tracks, threshold=5.0) == []
+    assert interaction_events(tracks, criterion="mask_iou", threshold=0.5) == []  # one track needs no masks
+
+
+def random_tracks(rng, masks=False):
+    """2-6 tracks in shuffled order over ten frames, with absences and, per state, a small-grid centroid or mask.
+
+    Without ``masks`` some states have no centroid; with it a few states lack their mask.  Ten
+    frames keep every message's frame list whole, since ``brief_list`` cuts after ten.
+    """
+    tracks = []
+    for label in rng.sample(["a", "b", "c", "vole_10", "vole_2", "Z"], rng.randint(2, 6)):
+        states = []
+        for f in range(10):
+            if rng.random() < 0.3:
+                continue
+            x, y = rng.randint(0, 6), rng.randint(0, 6)
+            if masks and rng.random() < 0.97:
+                states.append(TrackState(frame=f, score=1.0, segmentation=square(x, y)))
+            elif not masks and rng.random() < 0.85:
+                states.append(TrackState(frame=f, score=1.0, point=Point(x, y)))
+            else:
+                states.append(TrackState(frame=f, score=1.0))
+        tracks.append(Track(label, states))
+    return tracks
+
+
+def pairwise_events(tracks, **kwargs):
+    """The sorted union of the per-pair oracle over every pair of tracks."""
+    events = [e for a, b in itertools.combinations(tracks, 2) for e in reference_interaction_events(a, b, **kwargs)]
+    return sorted(events, key=lambda e: (e.start_frame, e.labels))
+
+
+def test_interaction_sweep_equals_pairwise_oracle():
+    rng = random.Random(0)
+    for _ in range(1000):
+        tracks = random_tracks(rng)
+        kwargs = dict(threshold=rng.choice([1.0, 2.5, 4.0]), min_duration=rng.randint(1, 4))
+        assert interaction_events(tracks, **kwargs) == pairwise_events(tracks, **kwargs)
+
+
+def test_interaction_sweep_equals_pairwise_oracle_on_masks():
+    rng = random.Random(1)
+    outcomes = {"events": 0, "missing": 0}
+    for _ in range(200):
+        tracks = random_tracks(rng, masks=True)
+        kwargs = dict(criterion="mask_iou", threshold=rng.choice([0.1, 0.3, 0.6]), min_duration=rng.randint(1, 4))
+        missing = set()  # the union of the frames each pair's oracle names
+        for a, b in itertools.combinations(tracks, 2):
+            try:
+                reference_interaction_events(a, b, **kwargs)
+            except MissingDataError as e:
+                missing |= set(ast.literal_eval(str(e).split(": ", 1)[1]))
+        if missing:
+            outcomes["missing"] += 1
+            with pytest.raises(MissingDataError) as info:
+                interaction_events(tracks, **kwargs)
+            assert str(info.value) == f"frames missing segmentation for mask IoU: {sorted(missing)}"
+        else:
+            outcomes["events"] += 1
+            assert interaction_events(tracks, **kwargs) == pairwise_events(tracks, **kwargs)
+    assert min(outcomes.values()) >= 40
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,17 @@ from __future__ import annotations
 import errno
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import segtrack
 from segtrack import cli
 from segtrack.cli import main
 from segtrack.formats import read_coco
@@ -97,6 +102,23 @@ def test_convert_of_overflowing_coordinates_writes_nothing(tmp_path, capsys):
         "error: document 'frame_001.png', shape 1: coordinates too large: area Infinity, "
     )
     assert not (tmp_path / "coco.json").exists()
+
+
+def test_convert_of_overflowing_coordinates_prints_only_the_error(tmp_path):
+    # a fresh interpreter, so a numpy warning would reach stderr as it does for a user
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    shape = {"label": "x", "points": [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]], "shape_type": "polygon"}
+    doc = {"imagePath": "a.png", "imageHeight": 8, "imageWidth": 8, "shapes": [shape]}
+    (labels / "a.json").write_text(json.dumps(doc))
+    src = str(Path(segtrack.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["convert", "--labelme-dir", str(labels), "--out", str(tmp_path / "coco.json")]
+    proc = subprocess.run([sys.executable, "-m", "segtrack.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: document 'a.png', shape 0: coordinates too large: area Infinity, bbox [0.0, 0.0, 1e+200, 1e+200]\n"
+    )
 
 
 def test_failed_write_keeps_old_target_and_leaves_no_temp(tmp_path, monkeypatch, capsys):
