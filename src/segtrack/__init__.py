@@ -50,7 +50,6 @@ from .tracking import (
     detect_novel_spots,
     filter_by_score,
     interpolate_gaps,
-    resolve_duplicates,
     segment_bouts,
 )
 from .metrics import (

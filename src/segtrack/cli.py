@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, formats, metrics, synth, tracking
-from .errors import ParseError, SegtrackError
+from .errors import OutOfRangeError, ParseError, SchemaError, SegtrackError
 from .metrics import MotConfig
 
 
@@ -85,14 +85,7 @@ def _emit(path: str | None, data: bytes, force: bool) -> None:
 
 def _load_pred_tracks(path: str, score_threshold: float) -> list[tracking.Track]:
     records = _load(path, formats.parse_predictions)
-    records = tracking.filter_by_score(records, score_threshold)
-    by_frame: dict[int, list] = {}
-    for r in records:
-        by_frame.setdefault(r.frame, []).append(r)
-    deduped = []
-    for frame in sorted(by_frame):
-        deduped.extend(tracking.resolve_duplicates(by_frame[frame]))
-    return tracking.assemble_tracks(deduped)
+    return tracking.assemble_tracks(tracking.filter_by_score(records, score_threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +122,12 @@ def _cmd_sample(args) -> None:
 
 def _cmd_track(args) -> None:
     tracks = _load_pred_tracks(args.pred, args.score_threshold)
-    if args.max_gap > 0:
-        tracks = [tracking.interpolate_gaps(t, args.max_gap) for t in tracks]
-    _emit(args.out, tracking.write_tracks_csv(tracks), args.force)
+    tracks = [tracking.interpolate_gaps(t, args.max_gap) for t in tracks]
+    try:
+        data = tracking.write_tracks_csv(tracks)
+    except OutOfRangeError as e:
+        raise OutOfRangeError(f"{args.pred}: {e}") from e
+    _emit(args.out, data, args.force)
     if args.out:
         _note(f"wrote {args.out} ({len(tracks)} tracks)")
 
@@ -156,7 +152,10 @@ def _percent(x: float | None) -> float | None:
 def _cmd_eval_coco(args) -> None:
     gt = _load(args.gt, formats.read_coco)
     preds = _load(args.pred, formats.parse_predictions)
-    report = metrics.evaluate_coco_ap(gt, preds, max_dets=args.max_dets)
+    try:
+        report = metrics.evaluate_coco_ap(gt, preds, max_dets=args.max_dets)
+    except SchemaError as e:  # a prediction with an unknown category or frame
+        raise SchemaError(f"{args.pred}: {e}") from e
     scaled = metrics.ApReport(
         rows=tuple(metrics.ApRow(r.name, *map(_percent, r.values())) for r in report.rows)
     )
@@ -219,15 +218,19 @@ def _cmd_synth(args) -> None:
         seed=args.perturb_seed,
     )
     preds, log = synth.perturb(tracks, pcfg, body_radius=args.radius)
-    _write_output(gt_path, formats.write_coco(dataset), args.force)
-    _write_output(tracks_path, tracking.write_tracks_csv(tracks), args.force)
-    _write_output(preds_path, formats.write_predictions(preds), args.force)
     log_payload = {
         "fn_events": [[f, lbl] for f, lbl in log.fn_events],
         "fp_events": [[f, lbl] for f, lbl in log.fp_events],
         "ids_events": [[f, a, b] for f, a, b in log.ids_events],
     }
-    _write_output(log_path, (json.dumps(log_payload, indent=2) + "\n").encode("utf-8"), args.force)
+    payloads = {  # all built before the first write, so a refusal leaves no partial scenario
+        gt_path: formats.write_coco(dataset),
+        tracks_path: tracking.write_tracks_csv(tracks),
+        preds_path: formats.write_predictions(preds),
+        log_path: (json.dumps(log_payload, indent=2) + "\n").encode("utf-8"),
+    }
+    for path, data in payloads.items():
+        _write_output(path, data, args.force)
     _note(
         f"wrote scenario to {out} ({args.animals} animals, {args.frames} frames,"
         f" fn={log.fn_count} fp={log.fp_count} ids={log.ids_count})"

@@ -485,6 +485,8 @@ def evaluate_coco_ap(
     unmatched detections outside the range) following the reference
     protocol; ranges with no ground truth render as None.
     """
+    if max_dets < 1:
+        raise ValueError(f"max_dets must be >= 1, got {max_dets}")
     frames = image_frame_map(gt)
     cat_id_of = {c.name: c.id for c in gt.categories}
     unknown = sorted({d.label for d in preds if d.label not in cat_id_of})

@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import SchemaError
+from .errors import OutOfRangeError, SchemaError
 from .geometry import BoundingBox, Point, Segmentation
 
 
@@ -76,10 +77,6 @@ class Track:
                 raise ValueError(f"track {label!r} has two states at frame {a.frame}")
         self.label = label
         self.states = states
-        self._by_frame = {s.frame: s for s in states}
-
-    def state_at(self, frame: int) -> TrackState | None:
-        return self._by_frame.get(frame)
 
     def present_frames(self) -> list[int]:
         return [s.frame for s in self.states]
@@ -124,46 +121,24 @@ def filter_by_score(dets: Sequence[DetectionRecord], threshold: float) -> list[D
     return [d for d in dets if d.score >= threshold]
 
 
-def resolve_duplicates(frame_dets: Sequence[DetectionRecord]) -> list[DetectionRecord]:
-    """Keep at most one record per label within a single frame.
-
-    Collisions resolve by highest score, then larger mask area, then
-    first position in the input.
-    """
-    frames = {d.frame for d in frame_dets}
-    if len(frames) > 1:
-        raise ValueError(f"records span multiple frames: {sorted(frames)}")
-    best: dict[str, tuple[int, DetectionRecord, float]] = {}
-    for i, det in enumerate(frame_dets):
-        area = det.segmentation.area
-        prev = best.get(det.label)
-        if prev is None:
-            best[det.label] = (i, det, area)
-            continue
-        _, kept, kept_area = prev
-        if det.score > kept.score or (det.score == kept.score and area > kept_area):
-            best[det.label] = (i, det, area)
-    return [det for _, det, _ in sorted(best.values(), key=lambda t: t[0])]
-
-
 def assemble_tracks(dets: Sequence[DetectionRecord]) -> list[Track]:
     """One track per distinct label, with a state exactly where that label was detected.
 
-    Requires records already filtered and de-duplicated: a repeated
-    (frame, label) pair is a precondition violation.
+    A label detected twice in one frame keeps one record: the highest
+    score, then the larger mask area, then the first in the input.
     """
-    by_label: dict[str, list[DetectionRecord]] = {}
+    by_label: dict[str, dict[int, DetectionRecord]] = defaultdict(dict)
     for det in dets:
-        by_label.setdefault(det.label, []).append(det)
-    tracks = []
-    for label in sorted(by_label):
-        group = sorted(by_label[label], key=lambda d: d.frame)
-        for a, b in zip(group, group[1:]):
-            if a.frame == b.frame:
-                raise ValueError(f"duplicate detection for {label!r} at frame {a.frame}")
-        states = [TrackState(frame=d.frame, score=d.score, segmentation=d.segmentation) for d in group]
-        tracks.append(Track(label, states))
-    return tracks
+        kept = by_label[det.label]
+        prev = kept.get(det.frame)
+        if prev is None or det.score > prev.score or (
+            det.score == prev.score and det.segmentation.area > prev.segmentation.area
+        ):
+            kept[det.frame] = det
+    return [
+        Track(label, [TrackState(frame=d.frame, score=d.score, segmentation=d.segmentation) for d in kept.values()])
+        for label, kept in sorted(by_label.items())
+    ]
 
 
 def tracks_to_detections(tracks: Sequence[Track]) -> list[DetectionRecord]:
@@ -294,35 +269,47 @@ def segment_bouts(frame_labels: Sequence[str], min_duration: int = 1) -> list[Bo
 # CSV interchange
 
 _CSV_HEADER = ["frame", "label", "present", "cx", "cy", "score", "interpolated"]
+_MAX_ROWS = 20_000_000  # about 0.7 GB of CSV at roughly 34 bytes a row
 
 
 def write_tracks_csv(tracks: Sequence[Track]) -> bytes:
-    """Track export: one row per (frame, label) over the full frame span."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
+    """Track export: one row per (frame, label) over the full frame span.
+
+    More than ``_MAX_ROWS`` rows raises :class:`OutOfRangeError` before
+    any row is formatted.
+    """
     ordered = sorted(tracks, key=lambda t: t.label)
     spanned = [t.states for t in ordered if t.states]
-    if spanned:
-        for frame in range(min(s[0].frame for s in spanned), max(s[-1].frame for s in spanned) + 1):
-            for track in ordered:
-                s = track.state_at(frame)
-                if s is None:
-                    writer.writerow([frame, track.label, "false", "", "", "", "false"])
-                    continue
-                c = s.centroid
-                writer.writerow(
-                    [
-                        frame,
-                        track.label,
-                        "true",
-                        f"{c.x:.4f}" if c else "",
-                        f"{c.y:.4f}" if c else "",
-                        f"{s.score:.6f}" if s.score is not None else "",
-                        "true" if s.interpolated else "false",
-                    ]
-                )
-    return buf.getvalue().encode("utf-8")
+    first = min((s[0].frame for s in spanned), default=0)
+    last = max((s[-1].frame for s in spanned), default=-1)  # no states, no frames
+    n_rows = len(ordered) * (last - first + 1)
+    if n_rows > _MAX_ROWS:
+        raise OutOfRangeError(
+            f"track CSV would have {n_rows} rows (frames {first} to {last}, labels: {len(ordered)}),"
+            f" more than the limit of {_MAX_ROWS}"
+        )
+    tails = []  # each label's absent row after its frame
+    rows_at: dict[int, list[tuple[int, str]]] = defaultdict(list)  # frame -> (track index, row)
+    for i, track in enumerate(ordered):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([track.label, ""])
+        lead = buf.getvalue()[:-1]  # the label as the csv module quotes it, and a comma
+        tails.append(lead + "false,,,,false\n")
+        for s in track.states:
+            c = s.centroid
+            xy = f"{c.x:.4f},{c.y:.4f}" if c is not None else ","
+            score = f"{s.score:.6f}" if s.score is not None else ""
+            interpolated = "true" if s.interpolated else "false"
+            rows_at[s.frame].append((i, f"{s.frame},{lead}true,{xy},{score},{interpolated}\n"))
+    out = io.BytesIO()
+    out.write((",".join(_CSV_HEADER) + "\n").encode("utf-8"))
+    for frame in range(first, last + 1):
+        prefix = f"{frame},"
+        rows = [prefix + tail for tail in tails]
+        for i, row in rows_at.get(frame, ()):
+            rows[i] = row
+        out.write("".join(rows).encode("utf-8"))
+    return out.getvalue()
 
 
 def read_tracks_csv(data: bytes | str) -> list[Track]:

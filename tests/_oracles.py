@@ -7,6 +7,8 @@ library code without sharing its implementation strategy.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -15,6 +17,7 @@ import numpy as np
 from segtrack import geometry
 from segtrack.analytics import InteractionEvent
 from segtrack.errors import MissingDataError, brief_list
+from segtrack.tracking import Track, TrackState, filter_by_score
 
 
 def raster_oracle(points, height, width):
@@ -406,16 +409,18 @@ def reference_interaction_events(a, b, criterion="centroid_distance", threshold=
         raise ValueError("tracks must carry distinct labels")
 
     common = sorted(set(a.present_frames()) & set(b.present_frames()))
+    a_at = {s.frame: s for s in a.states}
+    b_at = {s.frame: s for s in b.states}
     if criterion == "mask_iou":
         missing = [
             f for f in common
-            if a.state_at(f).segmentation is None or b.state_at(f).segmentation is None
+            if a_at[f].segmentation is None or b_at[f].segmentation is None
         ]
         if missing:
             raise MissingDataError(f"frames missing segmentation for mask IoU: {brief_list(missing)}")
 
     def holds(frame):
-        sa, sb = a.state_at(frame), b.state_at(frame)
+        sa, sb = a_at[frame], b_at[frame]
         if criterion == "mask_iou":
             return geometry.segmentation_iou(sa.segmentation, sb.segmentation) >= threshold
         ca, cb = sa.centroid, sb.centroid
@@ -443,3 +448,81 @@ def reference_interaction_events(a, b, criterion="centroid_distance", threshold=
     if run_start is not None and prev_frame - run_start + 1 >= min_duration:
         events.append(InteractionEvent(labels, run_start, prev_frame, criterion))
     return events
+
+
+# ---------------------------------------------------------------------------
+# track assembly and the track CSV, one frame at a time
+
+
+def _reference_resolve_duplicates(frame_dets):
+    """At most one record per label within one frame: highest score, then larger area, then first."""
+    frames = {d.frame for d in frame_dets}
+    if len(frames) > 1:
+        raise ValueError(f"records span multiple frames: {sorted(frames)}")
+    best = {}
+    for i, det in enumerate(frame_dets):
+        area = det.segmentation.area
+        prev = best.get(det.label)
+        if prev is None:
+            best[det.label] = (i, det, area)
+            continue
+        _, kept, kept_area = prev
+        if det.score > kept.score or (det.score == kept.score and area > kept_area):
+            best[det.label] = (i, det, area)
+    return [det for _, det, _ in sorted(best.values(), key=lambda t: t[0])]
+
+
+def reference_assemble_tracks(records, threshold):
+    """Tracks from a detection stream: filter, regroup by frame, de-duplicate each frame, then group by label.
+
+    The library's former chain: ``assemble_tracks(filter_by_score(...))``
+    must give the same tracks in one pass.
+    """
+    by_frame = {}
+    for r in filter_by_score(records, threshold):
+        by_frame.setdefault(r.frame, []).append(r)
+    deduped = []
+    for frame in sorted(by_frame):
+        deduped.extend(_reference_resolve_duplicates(by_frame[frame]))
+    by_label = {}
+    for det in deduped:
+        by_label.setdefault(det.label, []).append(det)
+    tracks = []
+    for label in sorted(by_label):
+        group = sorted(by_label[label], key=lambda d: d.frame)
+        for a, b in zip(group, group[1:]):
+            if a.frame == b.frame:
+                raise ValueError(f"duplicate detection for {label!r} at frame {a.frame}")
+        states = [TrackState(frame=d.frame, score=d.score, segmentation=d.segmentation) for d in group]
+        tracks.append(Track(label, states))
+    return tracks
+
+
+def reference_write_tracks_csv(tracks):
+    """The track CSV written one (frame, label) cell at a time through ``csv.writer``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["frame", "label", "present", "cx", "cy", "score", "interpolated"])
+    ordered = sorted(tracks, key=lambda t: t.label)
+    at = [{s.frame: s for s in t.states} for t in ordered]
+    spanned = [t.states for t in ordered if t.states]
+    if spanned:
+        for frame in range(min(s[0].frame for s in spanned), max(s[-1].frame for s in spanned) + 1):
+            for track, states in zip(ordered, at):
+                s = states.get(frame)
+                if s is None:
+                    writer.writerow([frame, track.label, "false", "", "", "", "false"])
+                    continue
+                c = s.centroid
+                writer.writerow(
+                    [
+                        frame,
+                        track.label,
+                        "true",
+                        f"{c.x:.4f}" if c else "",
+                        f"{c.y:.4f}" if c else "",
+                        f"{s.score:.6f}" if s.score is not None else "",
+                        "true" if s.interpolated else "false",
+                    ]
+                )
+    return buf.getvalue().encode("utf-8")

@@ -328,6 +328,82 @@ def test_track_interpolation_flag(tmp_path):
     assert with_gaps.read_text().count(",true\n") == 0
 
 
+def _pred_line(frame, label, score, x=10):
+    return json.dumps({"frame": frame, "label": label, "score": score, "bbox": [x, 10, 20, 20],
+                       "segmentation": [[x, 10, x + 20, 10, x + 20, 30, x, 30]]}) + "\n"
+
+
+def test_track_negative_max_gap_is_domain_error(tmp_path, capsys):
+    pred = tmp_path / "preds.jsonl"
+    pred.write_text(_pred_line(0, "a", 0.9))
+    assert run(["track", "--pred", pred, "--out", tmp_path / "t.csv", "--max-gap", -3]) == 1
+    assert capsys.readouterr().err == "error: max_gap must be >= 0, got -3\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_track_keeps_best_duplicate_as_library_does(tmp_path):
+    pred = tmp_path / "preds.jsonl"
+    pred.write_text(_pred_line(0, "a", 0.6, x=10) + _pred_line(0, "a", 0.9, x=40) + _pred_line(1, "a", 0.8)
+                    + _pred_line(1, "b", 0.7) + _pred_line(1, "b", 0.7, x=50))
+    out = tmp_path / "t.csv"
+    assert run(["track", "--pred", pred, "--out", out]) == 0
+    records = segtrack.filter_by_score(segtrack.parse_predictions(pred.read_bytes()), 0.5)
+    assert out.read_bytes() == segtrack.tracking.write_tracks_csv(segtrack.assemble_tracks(records))
+    assert out.read_text().splitlines()[1:] == [
+        "0,a,true,50.0000,20.0000,0.900000,false",
+        "0,b,false,,,,false",
+        "1,a,true,20.0000,20.0000,0.800000,false",
+        "1,b,true,20.0000,20.0000,0.700000,false",
+    ]
+
+
+def test_track_of_a_huge_frame_span_is_refused_at_once(tmp_path, capsys):
+    pred = tmp_path / "preds.jsonl"
+    pred.write_text(_pred_line(0, "a", 0.9) + _pred_line(10**12, "a", 0.9))
+    out = tmp_path / "t.csv"
+    assert run(["track", "--pred", pred, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pred}: track CSV would have 1000000000001 rows (frames 0 to 1000000000000, labels: 1),"
+        " more than the limit of 20000000\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
+
+
+def test_synth_refused_track_csv_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(segtrack.tracking, "_MAX_ROWS", 10)
+    out = tmp_path / "scen"
+    assert run(["synth", "--out-dir", out, "--animals", 2, "--frames", 6]) == 1
+    assert capsys.readouterr().err == (
+        "error: track CSV would have 12 rows (frames 0 to 5, labels: 2), more than the limit of 10\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_dets", [0, -1])
+def test_eval_coco_max_dets_below_one_is_domain_error(tmp_path, capsys, max_dets):
+    out = _make_scenario(tmp_path)
+    capsys.readouterr()
+    assert run(["eval-coco", "--gt", out / "gt.json", "--pred", out / "preds.jsonl", "--max-dets", max_dets]) == 1
+    assert capsys.readouterr().err == f"error: max_dets must be >= 1, got {max_dets}\n"
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        (_pred_line(0, "zz", 0.9), "unknown categories in predictions: ['zz']"),
+        (_pred_line(999, "animal_1", 0.9), "prediction frames without a matching image: [999]"),
+    ],
+    ids=["unknown-category", "frame-without-image"],
+)
+def test_eval_coco_refused_predictions_name_the_pred_file(tmp_path, capsys, line, message):
+    out = _make_scenario(tmp_path)
+    pred = tmp_path / "bad.jsonl"
+    pred.write_text(line)
+    capsys.readouterr()
+    assert run(["eval-coco", "--gt", out / "gt.json", "--pred", pred]) == 1
+    assert capsys.readouterr().err == f"error: {pred}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [

@@ -496,6 +496,14 @@ def test_ap_max_dets_caps_per_image_and_category():
     assert row.ap50 == 0.0
 
 
+@pytest.mark.parametrize("max_dets", [0, -1])
+def test_ap_max_dets_below_one_rejected(max_dets):
+    ds = _ap_dataset()
+    _gt_ann(ds, 1, 1, 20, 20, 10, 10)
+    with pytest.raises(ValueError, match=f"^max_dets must be >= 1, got {max_dets}$"):
+        evaluate_coco_ap(ds, [_det(0, "a", 0.8, 20, 20, 10, 10)], max_dets=max_dets)
+
+
 def test_ap_score_rank_not_magnitude():
     ds = _ap_dataset()
     _gt_ann(ds, 1, 1, 20, 20, 10, 10)

@@ -95,7 +95,7 @@ def test_scenario_separation_gives_disjoint_masks():
     )
     tracks, _ = generate_scenario(cfg)
     for f in range(cfg.n_frames):
-        masks = [t.state_at(f).segmentation for t in tracks]
+        masks = [{s.frame: s for s in t.states}.get(f).segmentation for t in tracks]
         for i in range(len(masks)):
             for j in range(i + 1, len(masks)):
                 assert rle_iou(masks[i], masks[j]) == 0.0

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segtrack.errors import SchemaError
+from segtrack import tracking
+from segtrack.errors import OutOfRangeError, SchemaError
 from segtrack.geometry import BoundingBox, Point, Polygon, mask_to_rle
 from segtrack.tracking import (
     Bout,
@@ -17,11 +18,12 @@ from segtrack.tracking import (
     filter_by_score,
     interpolate_gaps,
     read_tracks_csv,
-    resolve_duplicates,
     segment_bouts,
     tracks_to_detections,
     write_tracks_csv,
 )
+
+from _oracles import reference_assemble_tracks, reference_write_tracks_csv
 
 
 def square(x, y, side=4.0):
@@ -71,34 +73,71 @@ def test_filter_idempotent(scores, threshold):
 
 
 # ---------------------------------------------------------------------------
-# duplicate resolution
+# duplicate resolution: assemble_tracks keeps one record per (label, frame)
 
 
 def test_duplicates_keep_highest_score():
     a, b = det(3, "vole_1", 0.9), det(3, "vole_1", 0.4)
-    assert resolve_duplicates([b, a]) == [a]
+    assert assemble_tracks([b, a]) == assemble_tracks([a])
 
 
 def test_duplicates_tie_breaks_on_area():
     big = det(3, "vole_1", 0.5, side=10)
     small = det(3, "vole_1", 0.5, side=5)
-    assert resolve_duplicates([small, big]) == [big]
+    assert assemble_tracks([small, big]) == assemble_tracks([big])
 
 
 def test_duplicates_final_tie_keeps_first():
     first = det(3, "vole_1", 0.5, x=0)
     second = det(3, "vole_1", 0.5, x=50)
-    assert resolve_duplicates([first, second]) == [first]
+    assert assemble_tracks([first, second]) == assemble_tracks([first])
 
 
 def test_duplicates_distinct_labels_unchanged():
     dets = [det(3, "vole_1"), det(3, "vole_2"), det(3, "vole_3")]
-    assert resolve_duplicates(dets) == dets
+    assert assemble_tracks(dets) == [
+        Track(d.label, [TrackState(3, score=d.score, segmentation=d.segmentation)]) for d in dets
+    ]
 
 
-def test_duplicates_rejects_mixed_frames():
-    with pytest.raises(ValueError):
-        resolve_duplicates([det(1, "a"), det(2, "a")])
+def test_duplicates_resolved_per_frame():
+    dets = [det(1, "a", 0.5, x=0), det(2, "a", 0.9, x=10), det(1, "a", 0.8, x=20), det(2, "a", 0.3, x=30)]
+    assert assemble_tracks(dets) == assemble_tracks([dets[2], dets[1]])
+
+
+def _assembly_stream(rng):
+    """A random detection stream crowded into few labels and frames, with polygon and RLE masks of tied areas."""
+    records = []
+    for _ in range(rng.integers(0, 14)):
+        frame, label = int(rng.integers(0, 4)), str(rng.choice(["a", "b", "c"]))
+        score = float(rng.choice([0.2, 0.5, 0.5, 0.7, 1.0]))
+        x, y, side = int(rng.integers(0, 8)), int(rng.integers(0, 8)), int(rng.choice([2, 2, 3]))
+        if rng.random() < 0.5:
+            seg = square(x, y, side)
+        else:
+            mask = np.zeros((12, 12), dtype=bool)
+            mask[y : y + side, x : x + side] = True
+            seg = mask_to_rle(mask)
+        records.append(DetectionRecord(frame=frame, label=label, score=score, segmentation=seg, bbox=seg.bbox))
+    return records
+
+
+def test_assembly_equals_per_frame_oracle():
+    rng = np.random.default_rng(11)
+    seen = {"collision": 0, "score_tie": 0, "full_tie": 0}
+    for _ in range(1200):
+        records = _assembly_stream(rng)
+        threshold = float(rng.choice([0.0, 0.5]))
+        assert assemble_tracks(filter_by_score(records, threshold)) == reference_assemble_tracks(records, threshold)
+        cells = {}
+        for r in filter_by_score(records, threshold):
+            cells.setdefault((r.label, r.frame), []).append(r)
+        for group in cells.values():
+            top = [r for r in group if r.score == max(g.score for g in group)]
+            seen["collision"] += len(group) > 1
+            seen["score_tie"] += len(top) > 1
+            seen["full_tie"] += len({r.segmentation.area for r in top}) < len(top)
+    assert min(seen.values()) >= 200, seen
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +160,17 @@ def test_assemble_two_labels_with_gap():
     t1, t2 = assemble_tracks(dets)
     assert (t1.label, t2.label) == ("vole_1", "vole_2")
     assert t2.present_frames() == [0, 2]
-    assert t2.state_at(1) is None
+    assert {s.frame: s for s in t2.states}.get(1) is None
 
 
 def test_assemble_empty():
     assert assemble_tracks([]) == []
 
 
-def test_assemble_rejects_duplicate_frame_label():
-    with pytest.raises(ValueError):
-        assemble_tracks([det(0, "vole_1"), det(0, "vole_1")])
+def test_assemble_duplicate_frame_label_keeps_first():
+    first, second = det(0, "vole_1"), det(0, "vole_1")
+    (track,) = assemble_tracks([first, second])
+    assert track.states[0].segmentation is first.segmentation
 
 
 def test_assemble_centroid_comes_from_segmentation():
@@ -170,7 +210,7 @@ def _sparse_track(frames_and_centroids):
 
 def test_interpolate_fills_single_gap():
     t = interpolate_gaps(_sparse_track([(0, (0, 0)), (2, (2, 2))]), max_gap=1)
-    s = t.state_at(1)
+    s = {s.frame: s for s in t.states}.get(1)
     assert s is not None and s.interpolated
     assert s.centroid == Point(1.0, 1.0)
     assert s.segmentation is None and s.score is None
@@ -190,14 +230,15 @@ def test_interpolate_never_touches_original_states():
     src = _sparse_track([(0, (0, 0)), (3, (6, 0)), (10, (0, 0))])
     out = interpolate_gaps(src, 2)
     for s in src.states:
-        assert out.state_at(s.frame) == s
+        assert {o.frame: o for o in out.states}.get(s.frame) == s
     assert [s.frame for s in out.states if s.interpolated] == [1, 2]
 
 
 def test_interpolate_gap_boundaries_not_extended():
     # nothing is invented before the first or after the last detection
     out = interpolate_gaps(_sparse_track([(5, (0, 0)), (7, (2, 2))]), 5)
-    assert out.state_at(4) is None and out.state_at(8) is None
+    at = {s.frame: s for s in out.states}
+    assert at.get(4) is None and at.get(8) is None
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +338,8 @@ def test_tracks_csv_roundtrip():
     assert [t.label for t in back] == ["a", "b"]
     assert back[0].present_frames() == [0, 1, 3]
     assert back[1].present_frames() == [1]
-    orig = tracks[0].state_at(1)
-    again = back[0].state_at(1)
+    orig = {s.frame: s for s in tracks[0].states}.get(1)
+    again = {s.frame: s for s in back[0].states}.get(1)
     assert again.centroid == pytest.approx(orig.centroid, abs=1e-3)
 
 
@@ -332,6 +373,47 @@ def test_tracks_csv_gaps_absent_and_interpolated_states():
         "5,a,false,,,,false", "5,b,true,1.0000,2.0000,0.500000,false", "5,c,false,,,,false",
         "6,a,true,9.0000,9.5000,1.000000,false", "6,b,false,,,,false", "6,c,false,,,,false",
     ]) + "\n"
+
+
+def _random_tracks(rng):
+    """Tracks with awkward labels, gaps, empty tracks, masks, and interpolated states lacking a centroid or score."""
+    labels = ["a", "b,c", 'say "hi"', "two\nlines", "", "cr\r", " pad ", "\u00e9t\u00e9", "z"]
+    tracks = []
+    for label in rng.choice(labels, size=int(rng.integers(0, 5)), replace=False):
+        frames = sorted(set(int(f) for f in rng.integers(0, 12, size=int(rng.integers(0, 7)))))
+        states = []
+        for f in frames:
+            kind = rng.integers(0, 4)
+            score = [None, 0.0, 1.0, float(rng.random())][rng.integers(0, 4)]
+            if kind == 0:
+                states.append(TrackState(f, score=score, segmentation=square(float(rng.integers(0, 50)), 3.5)))
+            elif kind == 1:
+                states.append(TrackState(f, score=score, point=Point(float(rng.normal(0, 100)), float(rng.random()))))
+            else:
+                point = None if kind == 2 else Point(float(rng.random()), -float(rng.random()))
+                states.append(TrackState(f, score=score, interpolated=bool(rng.random() < 0.7), point=point))
+        tracks.append(Track(str(label), states))
+    return tracks
+
+
+def test_tracks_csv_equals_per_cell_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        tracks = _random_tracks(rng)
+        assert write_tracks_csv(tracks) == reference_write_tracks_csv(tracks)
+
+
+def test_tracks_csv_row_limit_checked_before_formatting(monkeypatch):
+    tracks = [Track("a", [TrackState(0, score=1.0)]), Track("b", [TrackState(10**12, score=1.0)])]
+    with pytest.raises(OutOfRangeError) as e:
+        write_tracks_csv(tracks)
+    assert str(e.value) == (
+        "track CSV would have 2000000000002 rows (frames 0 to 1000000000000, labels: 2), more than the limit of 20000000"
+    )
+    monkeypatch.setattr(tracking, "_MAX_ROWS", 6)
+    assert write_tracks_csv([Track("a", [TrackState(0)]), Track("b", [TrackState(2)])]).count(b"\n") == 7
+    with pytest.raises(OutOfRangeError, match=r"^track CSV would have 8 rows \(frames 0 to 3, labels: 2\), "):
+        write_tracks_csv([Track("a", [TrackState(0)]), Track("b", [TrackState(3)])])
 
 
 _CSV_HEAD = "frame,label,present,cx,cy,score,interpolated\n0,a,true,1.0,2.0,0.9,false\n"
