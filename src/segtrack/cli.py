@@ -121,13 +121,15 @@ def _cmd_sample(args) -> None:
 
 
 def _cmd_track(args) -> None:
+    if args.max_gap < 0:
+        raise OutOfRangeError(f"--max-gap must be >= 0, got {args.max_gap}")
     tracks = _load_pred_tracks(args.pred, args.score_threshold)
-    tracks = [tracking.interpolate_gaps(t, args.max_gap) for t in tracks]
-    try:
-        data = tracking.write_tracks_csv(tracks)
+    try:  # before interpolating, which could build every refused row's state first
+        tracking.check_tracks_csv_rows(tracks)
     except OutOfRangeError as e:
         raise OutOfRangeError(f"{args.pred}: {e}") from e
-    _emit(args.out, data, args.force)
+    tracks = [tracking.interpolate_gaps(t, args.max_gap) for t in tracks]
+    _emit(args.out, tracking.write_tracks_csv(tracks), args.force)
     if args.out:
         _note(f"wrote {args.out} ({len(tracks)} tracks)")
 

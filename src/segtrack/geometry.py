@@ -196,9 +196,10 @@ class RleMask:
     ``counts`` is the whole state.  :attr:`runs`, :attr:`area`,
     :attr:`centroid` and :attr:`bbox` are derived from it on first use
     and kept with the mask, so each is computed once per mask; they take
-    no part in ``==`` or ``hash``.  Zero-length runs are legal.  Counts
-    are stored as ints; a float or numpy count must have an integral
-    value.
+    no part in ``==`` or ``hash``.  A batch that builds many masks and
+    already knows all four (``synth.disc_masks``) hands them over through
+    :meth:`_from_batch` instead.  Zero-length runs are legal.  Counts are
+    stored as ints; a float or numpy count must have an integral value.
     """
 
     height: int
@@ -224,6 +225,28 @@ class RleMask:
                 f"counts sum {total} != {self.height}x{self.width}"
                 f" = {self.height * self.width}"
             )
+
+    @classmethod
+    def _from_batch(
+        cls,
+        height: int,
+        width: int,
+        counts: tuple[int, ...],
+        runs: tuple[list[int], list[int]],
+        area: int,
+        centroid: Point | None,
+        bbox: BoundingBox,
+    ) -> RleMask:
+        """A checked mask whose ``runs``, ``area``, ``centroid`` and ``bbox`` are the given values.
+
+        They must equal what the mask would derive from its counts (an
+        empty mask has no runs, centroid None and an all-zero bbox).
+        They go where ``cached_property`` itself keeps them, in the
+        instance ``__dict__``, so nothing derives them again.
+        """
+        mask = cls(height, width, counts)
+        mask.__dict__.update(runs=runs, area=area, _centroid_and_bbox=(centroid, bbox))
+        return mask
 
     @cached_property
     def runs(self) -> tuple[list[int], list[int]]:

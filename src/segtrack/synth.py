@@ -2,6 +2,11 @@
 
 Animals are discs on a bounded random walk; masks are exact rasterized
 discs, so every IoU the evaluators compute has unambiguous geometry.
+Discs are rasterized in numpy batches (:func:`disc_masks`), each mask
+handed over with its runs, area, centroid and bbox: a scenario builds
+all its discs in one call once the trajectories are drawn, and the
+perturbation stage makes every random draw before it builds any disc.
+
 The perturbation stage drops detections, adds spurious ones, swaps
 identity labels, and jitters centroids while logging every injected
 event, which makes the generator a ground-truth oracle for the tracking
@@ -20,7 +25,7 @@ import numpy as np
 from . import geometry
 from .errors import ConfigError
 from .formats import CocoAnnotation, CocoCategory, CocoDataset, CocoImage
-from .geometry import BoundingBox, RleMask
+from .geometry import BoundingBox, Point, RleMask
 from .tracking import DetectionRecord, Track, TrackState
 
 
@@ -87,37 +92,127 @@ class InjectionLog:
 # ---------------------------------------------------------------------------
 # disc rasterization (pixel-center rule, column-major counts built directly)
 
+_DISC_CHUNK = 1024  # discs per numpy pass: bounds the discs x columns arrays, however long the scenario
+
+
+def disc_masks(cxs: Sequence[float], cys: Sequence[float], radius: float, height: int, width: int) -> list[RleMask]:
+    """Rasterized discs of one radius centred at ``(cxs[k], cys[k])``, as RLE masks in order.
+
+    A pixel is set when its center lies within ``radius`` of the disc's
+    center.  The discs are rasterized in numpy passes over chunks of
+    ``_DISC_CHUNK``, over discs x columns: each column's row span comes
+    from the same float steps a per-column loop takes, and runs that
+    touch across a full-height column merge, so the counts are
+    canonical.  Each mask's runs, and its area, centroid and bbox from
+    integer sums over its columns, are handed over with it, so no mask
+    derives them again.
+    """
+    cxs = np.asarray(cxs, dtype=float)
+    cys = np.asarray(cys, dtype=float)
+    if cxs.ndim != 1 or cxs.shape != cys.shape:
+        raise ValueError(f"disc centers need two equal-length 1-d sequences, got shapes {cxs.shape} and {cys.shape}")
+    if not (np.isfinite(cxs).all() and np.isfinite(cys).all()):
+        raise ValueError("disc centers must be finite")
+    masks: list[RleMask] = []
+    for lo in range(0, len(cxs), _DISC_CHUNK):
+        masks += _disc_chunk(cxs[lo : lo + _DISC_CHUNK], cys[lo : lo + _DISC_CHUNK], float(radius), height, width)
+    return masks
+
+
+def _disc_chunk(cxs: np.ndarray, cys: np.ndarray, radius: float, height: int, width: int) -> list[RleMask]:
+    k = len(cxs)
+    hw = height * width
+    rr = radius * radius
+    # each disc's column range, clipped to the frame (an off-frame disc gets none)
+    c_lo = np.clip(np.ceil(cxs - radius - 0.5), 0, width).astype(np.int64)
+    c_hi = np.clip(np.floor(cxs + radius - 0.5), -1, width - 1).astype(np.int64)
+    n_cols = np.maximum(c_hi - c_lo + 1, 0)
+    disc = np.repeat(np.arange(k), n_cols)  # one entry per (disc, column)
+    col = np.arange(len(disc)) - np.repeat(np.cumsum(n_cols) - n_cols - c_lo, n_cols)
+    dx = (col + 0.5) - cxs[disc]
+    d2 = rr - dx * dx
+    dy = np.sqrt(np.where(d2 > 0.0, d2, 0.0))
+    cy = cys[disc]
+    r0 = np.clip(np.ceil(cy - dy - 0.5), 0, height)
+    r1 = np.clip(np.floor(cy + dy - 0.5), -1, height - 1)
+    keep = r1 >= r0
+    disc, col = disc[keep], col[keep]
+    r0 = r0[keep].astype(np.int64)
+    n = r1[keep].astype(np.int64) - r0 + 1
+    s = col * height + r0  # flat start and end of each column's run
+    e = s + n
+
+    # per-disc sums over its columns; zero for a disc that kept none
+    kept = np.bincount(disc, minlength=k)
+    has = kept > 0
+    first = (np.cumsum(kept) - kept)[has]
+
+    def per_disc(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(k, dtype=np.int64)
+        out[has] = ufunc.reduceat(values, first)
+        return out
+
+    area = per_disc(np.add, n)
+    col_sum = per_disc(np.add, col * n)  # sum of the pixels' column indices
+    row_sum = per_disc(np.add, (2 * r0 + n - 1) * n // 2)  # and of their row indices
+    left, top = per_disc(np.minimum, col), per_disc(np.minimum, r0)
+    right, bottom = per_disc(np.maximum, col + 1), per_disc(np.maximum, r0 + n)
+    boxes = np.stack([left, top, right - left, bottom - top], axis=1).astype(float)
+    last_end = per_disc(np.maximum, e)
+
+    # a run touching the previous one across a column boundary (only
+    # possible when a column spans the full height) extends it, so zero
+    # and one runs keep alternating
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = (disc[1:] != disc[:-1]) | (s[1:] != e[:-1])
+    closes = np.ones(len(s), dtype=bool)  # the last column of a run
+    closes[:-1] = new[1:]
+    run_start, run_end, run_disc = s[new], e[closes], disc[new]
+    prev_end = np.zeros_like(run_end)
+    prev_end[1:] = run_end[:-1]
+    prev_end[np.flatnonzero(run_disc[1:] != run_disc[:-1]) + 1] = 0  # each disc's first run follows zeros
+    run_bounds = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(run_disc, minlength=k), out=run_bounds[1:])
+
+    # every disc's counts in one array: a (zero, one) pair per run, then a
+    # slot for the trailing zeros, kept only when there are any
+    pair_at = 2 * np.arange(len(run_start)) + run_disc
+    tail_at = 2 * run_bounds[1:] + np.arange(k)
+    counts = np.empty(2 * len(run_start) + k, dtype=np.int64)
+    counts[pair_at] = run_start - prev_end
+    counts[pair_at + 1] = run_end - run_start
+    counts[tail_at] = hw - last_end
+    count_lo, count_hi = 2 * run_bounds[:-1] + np.arange(k), tail_at + (last_end < hw)
+
+    flat, starts, ends = counts.tolist(), run_start.tolist(), run_end.tolist()
+    masks = []
+    for lo, hi, run_lo, run_hi, a, cs, rs, box in zip(
+        count_lo.tolist(),
+        count_hi.tolist(),
+        run_bounds[:-1].tolist(),
+        run_bounds[1:].tolist(),
+        area.tolist(),
+        col_sum.tolist(),
+        row_sum.tolist(),
+        boxes.tolist(),
+    ):
+        masks.append(
+            RleMask._from_batch(
+                height,
+                width,
+                tuple(flat[lo:hi]),
+                (starts[run_lo:run_hi], ends[run_lo:run_hi]),
+                a,
+                Point(cs / a + 0.5, rs / a + 0.5) if a else None,
+                BoundingBox(*box),
+            )
+        )
+    return masks
+
 
 def disc_mask(cx: float, cy: float, radius: float, height: int, width: int) -> tuple[RleMask, BoundingBox]:
-    """Rasterized disc as an RLE mask plus its tight pixel bounding box."""
-    cx, cy = float(cx), float(cy)  # numpy scalars would make every step below slow
-    rr = radius * radius
-    counts: list[int] = []
-    end = 0  # flat index one past the last one-run
-    for c in range(max(0, math.ceil(cx - radius - 0.5)), min(width - 1, math.floor(cx + radius - 0.5)) + 1):
-        dx = c + 0.5 - cx
-        d2 = rr - dx * dx
-        dy = math.sqrt(d2) if d2 > 0.0 else 0.0
-        r0 = math.ceil(cy - dy - 0.5)
-        r1 = math.floor(cy + dy - 0.5)
-        if r0 < 0:
-            r0 = 0
-        if r1 >= height:
-            r1 = height - 1
-        if r1 < r0:
-            continue
-        # a run touching the previous one across a column boundary (only
-        # possible when a column spans the full height) extends it, so
-        # zero and one runs keep alternating
-        s = c * height + r0
-        if counts and s == end:
-            counts[-1] += r1 - r0 + 1
-        else:
-            counts += (s - end, r1 - r0 + 1)
-        end = c * height + r1 + 1
-    if end < height * width:
-        counts.append(height * width - end)
-    rle = RleMask(height, width, tuple(counts))
+    """One rasterized disc as an RLE mask plus its tight pixel bounding box: :func:`disc_masks` of one."""
+    (rle,) = disc_masks([cx], [cy], radius, height, width)
     return rle, rle.bbox
 
 
@@ -195,14 +290,15 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[Track], CocoDataset]:
         categories=[CocoCategory(ci + 1, name) for ci, name in enumerate(sorted(labels))]
     )
     cat_id = {c.name: c.id for c in dataset.categories}
+    centers = [p for frame in trajectory for p in frame]
+    masks = iter(disc_masks([x for x, _ in centers], [y for _, y in centers], cfg.body_radius, height, width))
     ann_id = 1
     for f in range(cfg.n_frames):
         dataset.images.append(
             CocoImage(f + 1, f"frame_{f:06d}.png", height, width, frame_index=f)
         )
         for i in range(n):
-            cx, cy = trajectory[f][i]
-            rle, bbox = disc_mask(cx, cy, cfg.body_radius, height, width)
+            rle = next(masks)
             states[i].append(TrackState(frame=f, score=1.0, segmentation=rle))
             dataset.annotations.append(
                 CocoAnnotation(
@@ -210,7 +306,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[Track], CocoDataset]:
                     image_id=f + 1,
                     category_id=cat_id[labels[i]],
                     segmentation=rle,
-                    bbox=bbox,
+                    bbox=rle.bbox,
                     area=float(rle.area),
                     iscrowd=0,
                 )
@@ -222,6 +318,11 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[Track], CocoDataset]:
 
 # ---------------------------------------------------------------------------
 # perturbation
+
+
+def _moved(dx: float, dy: float) -> bool:
+    """Whether a centroid offset is large enough to build a jittered disc for."""
+    return abs(dx) >= 1e-6 or abs(dy) >= 1e-6
 
 
 def perturb(
@@ -269,9 +370,14 @@ def perturb(
             i, j = rng.choice(len(labels), size=2, replace=False)
             swaps[f] = (labels[i], labels[j])
 
+    # pass 1: every rng draw, in stream order; no mask is built here, so
+    # none can move the rng sequence.  Each planned record is (frame,
+    # label, true state, centroid offset), or for a spurious disc (frame,
+    # label, None, its center); ``centers`` holds every disc to build.
     perm = {label: label for label in labels}
     log = InjectionLog()
-    preds: list[DetectionRecord] = []
+    plan: list[tuple[int, str, TrackState | None, float, float]] = []
+    centers: list[tuple[float, float]] = []
     fp_counter = 0
     jitter_limit = 0.35 * body_radius
 
@@ -294,29 +400,15 @@ def perturb(
             if label not in exempt and cfg.p_fn > 0 and rng.random() < cfg.p_fn:
                 log.fn_events.append((frame, label))
                 continue
-            seg = state.segmentation
+            dx = dy = 0.0
             if cfg.centroid_noise > 0:
                 dx, dy = rng.normal(0.0, cfg.centroid_noise, 2)
                 norm = math.hypot(dx, dy)
                 if norm > jitter_limit:
                     dx, dy = dx * jitter_limit / norm, dy * jitter_limit / norm
-                while abs(dx) >= 1e-6 or abs(dy) >= 1e-6:
-                    cand, _ = disc_mask(
-                        state.centroid.x + dx, state.centroid.y + dy, body_radius, height, width
-                    )
-                    if geometry.rle_iou(cand, state.segmentation) > 0.5:
-                        seg = cand
-                        break
-                    dx, dy = dx * 0.5, dy * 0.5
-            preds.append(
-                DetectionRecord(
-                    frame=frame,
-                    label=perm[label],
-                    score=1.0,
-                    segmentation=seg,
-                    bbox=seg.bbox,
-                )
-            )
+                if _moved(dx, dy):
+                    centers.append((state.centroid.x + dx, state.centroid.y + dy))
+            plan.append((frame, perm[label], state, dx, dy))
 
         if cfg.p_fp > 0:
             for _ in range(int(rng.poisson(cfg.p_fp))):
@@ -326,12 +418,28 @@ def perturb(
                     if all(math.dist((fx, fy), c) >= 3.0 * body_radius for c in true_centroids):
                         fp_counter += 1
                         label = f"spurious_{fp_counter:04d}"
-                        seg, bbox = disc_mask(fx, fy, body_radius, height, width)
-                        preds.append(
-                            DetectionRecord(
-                                frame=frame, label=label, score=1.0, segmentation=seg, bbox=bbox
-                            )
-                        )
+                        plan.append((frame, label, None, fx, fy))
+                        centers.append((fx, fy))
                         log.fp_events.append((frame, label))
                         break
+
+    # pass 2: every planned disc in one batch.  A jittered disc must keep
+    # IoU > 0.5 with its true mask; a rejected one halves its offset, one
+    # disc at a time, until it does or the offset vanishes.
+    discs = iter(disc_masks([x for x, _ in centers], [y for _, y in centers], body_radius, height, width))
+    preds: list[DetectionRecord] = []
+    for frame, label, truth, dx, dy in plan:
+        if truth is None:
+            seg = next(discs)
+        elif not _moved(dx, dy):
+            seg = truth.segmentation
+        else:
+            seg = next(discs)
+            while geometry.rle_iou(seg, truth.segmentation) <= 0.5:
+                dx, dy = dx * 0.5, dy * 0.5
+                if not _moved(dx, dy):
+                    seg = truth.segmentation
+                    break
+                seg, _ = disc_mask(truth.centroid.x + dx, truth.centroid.y + dy, body_radius, height, width)
+        preds.append(DetectionRecord(frame=frame, label=label, score=1.0, segmentation=seg, bbox=seg.bbox))
     return preds, log

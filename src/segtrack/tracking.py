@@ -272,22 +272,34 @@ _CSV_HEADER = ["frame", "label", "present", "cx", "cy", "score", "interpolated"]
 _MAX_ROWS = 20_000_000  # about 0.7 GB of CSV at roughly 34 bytes a row
 
 
+def check_tracks_csv_rows(tracks: Sequence[Track]) -> tuple[int, int]:
+    """The frame span ``(first, last)`` of the track CSV of ``tracks``, checked against the row limit.
+
+    The CSV has one row per label per frame of the span, and more than
+    ``_MAX_ROWS`` rows raises :class:`OutOfRangeError`.  Interpolation
+    fills only interior frames, so tracks give the same answer before
+    :func:`interpolate_gaps` as after it.
+    """
+    spanned = [t.states for t in tracks if t.states]
+    first = min((s[0].frame for s in spanned), default=0)
+    last = max((s[-1].frame for s in spanned), default=-1)  # no states, no frames
+    n_rows = len(tracks) * (last - first + 1)
+    if n_rows > _MAX_ROWS:
+        raise OutOfRangeError(
+            f"track CSV would have {n_rows} rows (frames {first} to {last}, labels: {len(tracks)}),"
+            f" more than the limit of {_MAX_ROWS}"
+        )
+    return first, last
+
+
 def write_tracks_csv(tracks: Sequence[Track]) -> bytes:
     """Track export: one row per (frame, label) over the full frame span.
 
     More than ``_MAX_ROWS`` rows raises :class:`OutOfRangeError` before
-    any row is formatted.
+    any row is formatted (:func:`check_tracks_csv_rows`).
     """
+    first, last = check_tracks_csv_rows(tracks)
     ordered = sorted(tracks, key=lambda t: t.label)
-    spanned = [t.states for t in ordered if t.states]
-    first = min((s[0].frame for s in spanned), default=0)
-    last = max((s[-1].frame for s in spanned), default=-1)  # no states, no frames
-    n_rows = len(ordered) * (last - first + 1)
-    if n_rows > _MAX_ROWS:
-        raise OutOfRangeError(
-            f"track CSV would have {n_rows} rows (frames {first} to {last}, labels: {len(ordered)}),"
-            f" more than the limit of {_MAX_ROWS}"
-        )
     tails = []  # each label's absent row after its frame
     rows_at: dict[int, list[tuple[int, str]]] = defaultdict(list)  # frame -> (track index, row)
     for i, track in enumerate(ordered):

@@ -526,3 +526,45 @@ def reference_write_tracks_csv(tracks):
                     ]
                 )
     return buf.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# disc rasterization, one disc and one column at a time
+
+
+def reference_disc_mask(cx, cy, radius, height, width):
+    """Rasterized disc as an RLE mask plus its tight pixel bounding box.
+
+    The library's former per-disc loop: ``synth.disc_masks`` must give
+    the same counts for every disc, and hand over the area, centroid and
+    bbox this mask derives from them.
+    """
+    cx, cy = float(cx), float(cy)  # numpy scalars would make every step below slow
+    rr = radius * radius
+    counts: list[int] = []
+    end = 0  # flat index one past the last one-run
+    for c in range(max(0, math.ceil(cx - radius - 0.5)), min(width - 1, math.floor(cx + radius - 0.5)) + 1):
+        dx = c + 0.5 - cx
+        d2 = rr - dx * dx
+        dy = math.sqrt(d2) if d2 > 0.0 else 0.0
+        r0 = math.ceil(cy - dy - 0.5)
+        r1 = math.floor(cy + dy - 0.5)
+        if r0 < 0:
+            r0 = 0
+        if r1 >= height:
+            r1 = height - 1
+        if r1 < r0:
+            continue
+        # a run touching the previous one across a column boundary (only
+        # possible when a column spans the full height) extends it, so
+        # zero and one runs keep alternating
+        s = c * height + r0
+        if counts and s == end:
+            counts[-1] += r1 - r0 + 1
+        else:
+            counts += (s - end, r1 - r0 + 1)
+        end = c * height + r1 + 1
+    if end < height * width:
+        counts.append(height * width - end)
+    rle = geometry.RleMask(height, width, tuple(counts))
+    return rle, rle.bbox

@@ -337,8 +337,19 @@ def test_track_negative_max_gap_is_domain_error(tmp_path, capsys):
     pred = tmp_path / "preds.jsonl"
     pred.write_text(_pred_line(0, "a", 0.9))
     assert run(["track", "--pred", pred, "--out", tmp_path / "t.csv", "--max-gap", -3]) == 1
-    assert capsys.readouterr().err == "error: max_gap must be >= 0, got -3\n"
+    assert capsys.readouterr().err == "error: --max-gap must be >= 0, got -3\n"
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_track_negative_max_gap_refused_before_the_stream_is_read(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")  # no record reaches interpolation
+    assert run(["track", "--pred", empty, "--out", tmp_path / "t.csv", "--max-gap", -3]) == 1
+    assert capsys.readouterr().err == "error: --max-gap must be >= 0, got -3\n"
+    missing = tmp_path / "missing.jsonl"
+    assert run(["track", "--pred", missing, "--max-gap", -1]) == 1
+    assert capsys.readouterr().err == "error: --max-gap must be >= 0, got -1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
 
 
 def test_track_keeps_best_duplicate_as_library_does(tmp_path):
@@ -367,6 +378,32 @@ def test_track_of_a_huge_frame_span_is_refused_at_once(tmp_path, capsys):
         " more than the limit of 20000000\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl"]
+
+
+def test_track_row_limit_checked_before_interpolating(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(segtrack.tracking, "_MAX_ROWS", 10)
+    interpolated = []
+    interpolate_gaps = segtrack.tracking.interpolate_gaps
+
+    def counting(track, max_gap):
+        filled = interpolate_gaps(track, max_gap)
+        interpolated.extend(s for s in filled.states if s.interpolated)
+        return filled
+
+    monkeypatch.setattr(segtrack.tracking, "interpolate_gaps", counting)
+    pred = tmp_path / "preds.jsonl"
+    pred.write_text(_pred_line(0, "a", 0.9) + _pred_line(100, "a", 0.9))
+    out = tmp_path / "t.csv"
+    assert run(["track", "--pred", pred, "--out", out, "--max-gap", 100]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pred}: track CSV would have 101 rows (frames 0 to 100, labels: 1), more than the limit of 10\n"
+    )
+    assert interpolated == []
+    assert not out.exists()
+    # within the limit, the same stream is interpolated
+    monkeypatch.setattr(segtrack.tracking, "_MAX_ROWS", 101)
+    assert run(["track", "--pred", pred, "--out", out, "--max-gap", 100]) == 0
+    assert len(interpolated) == 99
 
 
 def test_synth_refused_track_csv_writes_nothing(tmp_path, monkeypatch, capsys):

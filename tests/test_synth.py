@@ -1,21 +1,29 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from segtrack import cli, geometry
 from segtrack.errors import ConfigError
 from segtrack.formats import write_coco
-from segtrack.geometry import mask_to_rle, rle_iou, rle_to_mask
+from segtrack.geometry import RleMask, mask_to_rle, rle_iou, rle_to_mask
 from segtrack.metrics import MotConfig, evaluate_mot
 from segtrack.synth import (
     InjectionLog,
     PerturbationConfig,
     ScenarioConfig,
     disc_mask,
+    disc_masks,
     generate_scenario,
     perturb,
 )
-from segtrack.tracking import assemble_tracks, tracks_to_detections
+from segtrack.tracking import Track, TrackState, assemble_tracks, tracks_to_detections
+
+from _oracles import reference_disc_mask
 
 WELL_SEPARATED = ScenarioConfig(
     n_animals=3,
@@ -59,6 +67,104 @@ def test_disc_outside_grid_is_empty():
 def test_disc_rle_is_canonical():
     rle, _ = disc_mask(10.3, 12.7, 5.0, 32, 32)
     assert rle == mask_to_rle(rle_to_mask(rle))
+
+
+def _assert_batch_equals_oracle(cxs, cys, r, h, w):
+    """``disc_masks`` gives the oracle's counts, and hands over exactly what a fresh mask derives."""
+    masks = disc_masks(cxs, cys, r, h, w)
+    assert len(masks) == len(cxs)
+    for mask, cx, cy in zip(masks, cxs, cys):
+        want, want_bbox = reference_disc_mask(cx, cy, r, h, w)
+        assert mask.counts == want.counts
+        assert {"runs", "area", "_centroid_and_bbox"} <= mask.__dict__.keys()  # handed over, not derived
+        fresh = RleMask(h, w, want.counts)
+        assert mask.runs == fresh.runs
+        assert type(mask.area) is int and mask.area == fresh.area
+        assert mask._centroid_and_bbox == fresh._centroid_and_bbox
+        assert mask.bbox == want_bbox
+        assert (mask == fresh, hash(mask), repr(mask)) == (True, hash(fresh), repr(fresh))
+    return masks
+
+
+def _centers(lo, hi):
+    # half-pixel steps put pixel centers exactly on the circle
+    return st.one_of(st.floats(lo, hi), st.integers(int(2 * lo), int(2 * hi)).map(lambda k: k / 2))
+
+
+@st.composite
+def _disc_batches(draw):
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    r = draw(st.one_of(st.just(1.0), st.integers(1, 16).map(float), st.floats(1.0, 16.0)))
+    n = draw(st.integers(0, 10))
+    cxs = draw(st.lists(_centers(-r - 4, w + r + 4), min_size=n, max_size=n))
+    cys = draw(st.lists(_centers(-r - 4, h + r + 4), min_size=n, max_size=n))
+    return cxs, cys, r, h, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_disc_batches())
+@example(([], [], 3.0, 8, 8))
+@example(([40.0, -6.0, 4.0], [4.0, 4.0, -5.5], 5.0, 8, 8))  # off the frame: all empty
+@example(([3.0, 0.0, 8.0], [-0.5, 8.5, 4.0], 1.0, 8, 8))  # clipped to empty, radius 1.0 on the pixel grid
+@example(([4.0, 0.3], [1.5, 2.0], 5.0, 3, 9))  # full-height columns, whose runs merge
+@example(([1.0], [1.0], 40.0, 2, 2))  # one run covers the frame, no trailing zeros
+@example(([2.7, 5.2], [3.1, 0.4], 2.35, 6, 7))  # non-integer radius
+def test_disc_masks_equal_per_disc_oracle(batch):
+    _assert_batch_equals_oracle(*batch)
+
+
+def test_disc_masks_corpus_across_chunks():
+    """A seeded corpus spanning several chunks, with every kind of disc the batch must get right."""
+    rng = np.random.default_rng(12)
+    seen = dict(off_frame=0, empty=0, merged=0, radius_one=0, fractional=0)
+    for r, h, w, n in [(1.0, 9, 11, 400), (2.35, 16, 16, 400), (5.5, 7, 20, 400), (8.0, 40, 30, 2600), (13.7, 5, 5, 300)]:
+        cxs = rng.uniform(-r - 3, w + r + 3, n)
+        cys = rng.uniform(-r - 3, h + r + 3, n)
+        cxs[::3] = np.round(cxs[::3] * 2) / 2
+        cys[::3] = np.round(cys[::3] * 2) / 2
+        masks = _assert_batch_equals_oracle(cxs, cys, r, h, w)
+        seen["off_frame"] += int(np.sum((cxs < 0) | (cxs >= w) | (cys < 0) | (cys >= h)))
+        seen["empty"] += sum(m.area == 0 for m in masks)
+        # merged runs: fewer one-runs than the columns the mask touches
+        seen["merged"] += sum(0 < len(m.runs[0]) < m.bbox.w for m in masks)
+        seen["radius_one"] += n * (r == 1.0)
+        seen["fractional"] += n * (not r.is_integer())
+    assert min(seen.values()) >= 100, seen
+
+
+def test_disc_masks_reject_bad_centers():
+    with pytest.raises(ValueError):
+        disc_masks([1.0, 2.0], [1.0], 2.0, 8, 8)
+    with pytest.raises(ValueError):
+        disc_masks([float("nan")], [1.0], 2.0, 8, 8)
+
+
+# the four files of a radius-1.0 scenario whose jitter is rejected and
+# halved 112 times, as the per-disc rasterizer wrote them
+HALVING_ARGS = ["--width", 32, "--height", 32, "--radius", 1.0, "--noise", 3.0, "--animals", 3, "--frames", 200,
+                "--p-fp", 0.5, "--p-fn", 0.05, "--n-ids", 1, "--seed", 3, "--perturb-seed", 4]
+HALVING_SHA256 = {
+    "gt.json": "edaad3295a7abc76c0734497db89645c4b73f4170ca01acb85be61aa7f4f4477",
+    "gt_tracks.csv": "40591ba6fe6deb04e0cd78bac8f6b12354cd58c4b7abb1a2f90405cd5b81a38c",
+    "injection.json": "3d92ca25b7a1b0a46d1705a48dc830db08fd9dc0b9a140f25d6d49d1186fbe3c",
+    "preds.jsonl": "b9d95fbbb7691033505eaf0c9e4278ff98b5757ba753b8e68031c073a47b7840",
+}
+
+
+def test_perturb_halving_path_bytes_pinned(tmp_path, monkeypatch):
+    rejected = []
+    iou = geometry.rle_iou
+
+    def counting(a, b, crowd=False):
+        value = iou(a, b, crowd)
+        rejected.append(value <= 0.5)
+        return value
+
+    monkeypatch.setattr(geometry, "rle_iou", counting)
+    out = tmp_path / "scen"
+    assert cli.main(["synth", "--out-dir", str(out)] + [str(a) for a in HALVING_ARGS]) == 0
+    assert sum(rejected) == 112
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in HALVING_SHA256} == HALVING_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +275,15 @@ def test_perturb_jitter_keeps_high_overlap():
     for p in preds:
         true_state = by_key[(p.frame, p.label)]
         assert rle_iou(p.segmentation, true_state.segmentation) > 0.5
+
+
+def test_perturb_jitter_falls_back_to_truth_when_no_disc_fits():
+    # a one-pixel-wide bar: no disc of radius 4 overlaps it with IoU > 0.5,
+    # so every jittered offset is halved until it vanishes
+    bar = mask_to_rle(np.pad(np.ones((30, 1), dtype=bool), ((10, 24), (20, 43))))
+    tracks = [Track("a", [TrackState(frame=f, score=1.0, segmentation=bar) for f in range(4)])]
+    preds, _ = perturb(tracks, PerturbationConfig(centroid_noise=2.0, seed=1), body_radius=4.0)
+    assert [p.segmentation for p in preds] == [bar] * 4
 
 
 def test_perturb_swap_yields_two_switches():
