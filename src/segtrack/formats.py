@@ -177,6 +177,9 @@ def _number(value) -> float:
     return float(value)
 
 
+_NUMBER_TYPES = frozenset((int, float))  # the Python types of JSON numbers; bool is a type of its own
+
+
 def _finite(value) -> float:
     """A finite JSON number as a float; it calls no other reader, since it runs once per coordinate."""
     if type(value) not in (int, float) or not math.isfinite(value):
@@ -290,8 +293,10 @@ def labelme_to_coco(docs: Sequence[LabelmeDocument], keypoint_radius: float = 5.
     a non-null group_id within one document merge into a single
     multi-ring annotation.  Images keep their input position as
     ``frame_index``.  A region whose area or bbox overflows to a
-    non-finite value raises :class:`OutOfRangeError` naming its document
-    and first shape.
+    non-finite value raises :class:`OutOfRangeError`, and a group whose
+    rings share a pixel center in the image raises :class:`ConflictError`
+    (its area, the sum of the ring areas, would count that pixel twice);
+    both name the document and the region's first shape.
     """
     if not docs:
         raise ValueError("need at least one document")
@@ -331,6 +336,10 @@ def labelme_to_coco(docs: Sequence[LabelmeDocument], keypoint_radius: float = 5.
                 raise OutOfRangeError(
                     f"document {doc.image_path!r}, shape {first}: coordinates too large:"
                     f" area {json.dumps(seg.area)}, bbox {json.dumps(list(seg.bbox))}"
+                )
+            if len(rings) > 1 and geometry.rings_overlap(rings, doc.image_height, doc.image_width):
+                raise ConflictError(
+                    f"document {doc.image_path!r}, shape {first}: the rings of group {key[1]} share a pixel"
                 )
             ds.annotations.append(
                 CocoAnnotation(
@@ -445,7 +454,10 @@ def _segmentation(form) -> Segmentation | tuple[str, tuple[int, int]]:
         for ring in form:
             if not isinstance(ring, list) or len(ring) < 6 or len(ring) % 2 != 0:
                 raise SchemaError(f"polygon ring must hold >=3 coordinate pairs, got {ring!r}")
-            rings.append(Polygon.from_xy(list(zip(ring[0::2], ring[1::2]))))
+            if not set(map(type, ring)) <= _NUMBER_TYPES:  # booleans and strings are not coordinates
+                bad = next(v for v in ring if type(v) not in _NUMBER_TYPES)
+                raise TypeError(f"polygon coordinates must be numbers, got {json.dumps(bad)}")
+            rings.append(Polygon(tuple(zip(ring[0::2], ring[1::2]))))
         return rings[0] if len(rings) == 1 else MultiPolygon(rings)
     if isinstance(form, dict):
         size = form.get("size")

@@ -15,15 +15,15 @@ Rasterization uses the even-odd rule tested at pixel centers with a
 half-open boundary convention: a center lying exactly on a left/top
 edge is inside, on a right/bottom edge outside, so adjacent polygons
 never claim the same pixel twice.  A ring is first cut into per-row
-fill spans in frame coordinates, clipped to the frame; the spans are
-then filled into a grid.
+fill spans in frame pixel indices, clipped to an integer window (the
+frame, for :func:`rasterize`); the spans are then filled into a grid.
 
-The IoU of a polygon and a mask is computed inside the mask's frame
-over the polygon's own clipped window: its spans are filled into a grid
-just large enough for them, by shifting integer row and column indices
-only, and only the window's columns of the mask are decoded.  Polygon
-pixels outside the frame do not count.  The result equals a comparison
-of the two full-frame renderings exactly.
+Every IoU with a polygon is computed inside one integer window: the
+mask's frame, or a window holding both polygons.  Spans stay in frame
+pixel indices, each polygon is filled over its own extent, a mask
+decodes only the columns needed, and no vertex is ever shifted.  So
+polygon pixels outside a mask's frame do not count, and the result
+equals a comparison of the two full-frame renderings exactly.
 
 All functions are pure; nothing here holds global state, so every
 operation is safe to call from concurrent threads.
@@ -269,7 +269,7 @@ class RleMask:
 
     @cached_property
     def _centroid_and_bbox(self) -> tuple[Point | None, BoundingBox]:
-        """Both come from one pass over the runs; the centroid is None on an empty mask."""
+        """Both come from one step per run, in exact ints; the centroid is None on an empty mask."""
         starts, ends = self.runs
         if not starts:
             return None, BoundingBox(0.0, 0.0, 0.0, 0.0)
@@ -278,16 +278,21 @@ class RleMask:
         row_sum = 0
         top, bottom = h, 0  # row span [top, bottom)
         for s, e in zip(starts, ends):
-            while s < e:  # rows r..r+n-1 of column s // h, one column of the run at a time
-                r = s % h
-                n = e - s if r + e - s <= h else h - r
+            r = s % h
+            if r + e - s <= h:  # rows r..r+n-1 of column s // h
+                n = e - s
                 col_sum += s // h * n
                 row_sum += (2 * r + n - 1) * n // 2
                 if r < top:
                     top = r
                 if r + n > bottom:
                     bottom = r + n
-                s += n
+            else:  # rows r..h-1 of column c, k full columns, rows 0..tail-1 of column c + k + 1
+                c, last = s // h, (e - 1) // h
+                k, tail = last - c - 1, e - last * h
+                col_sum += c * (h - r) + h * (2 * c + k + 1) * k // 2 + last * tail
+                row_sum += (r + h - 1) * (h - r) // 2 + k * h * (h - 1) // 2 + tail * (tail - 1) // 2
+                top, bottom = 0, h
         area = self.area
         c_min, c_max = starts[0] // h, (ends[-1] - 1) // h
         return (
@@ -389,21 +394,21 @@ def has_self_intersection(p: Polygon) -> bool:
 # rasterization
 
 
-def _ring_spans(p: Polygon, height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fill spans ``(rows, c0, c1)`` of a ring on a ``(height, width)`` grid.
+def _ring_spans(p: Polygon, top: int, left: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill spans ``(rows, c0, c1)`` of a ring in frame pixel indices, clipped to an integer window.
 
     Span ``k`` covers columns ``c0[k]..c1[k]`` (inclusive) of row
-    ``rows[k]``; every span is non-empty and clipped to the grid, and
-    the spans of one row never overlap.  The pixel rule is that of
-    :func:`rasterize`.
+    ``rows[k]``; every span is non-empty, and the spans of one row never
+    overlap.  The pixel rule is that of :func:`rasterize`, whose frame is
+    the window ``0, 0, height, width``.  No vertex moves with the window.
     """
     pts = p.as_array()
     nxt = np.concatenate((pts[1:], pts[:1]))
     x1, y1, x2, y2 = pts[:, 0], pts[:, 1], nxt[:, 0], nxt[:, 1]
     lo = np.minimum(y1, y2)
     hi = np.maximum(y1, y2)
-    r0 = max(0, math.ceil(float(lo.min()) - 0.5))
-    r1 = min(height - 1, math.ceil(float(hi.max()) - 0.5) - 1)
+    r0 = max(top, math.ceil(float(lo.min()) - 0.5))
+    r1 = min(top + height - 1, math.ceil(float(hi.max()) - 0.5) - 1)
     if r0 > r1:
         none = np.empty(0, dtype=np.int64)
         return none, none, none
@@ -420,14 +425,19 @@ def _ring_spans(p: Polygon, height: int, width: int) -> tuple[np.ndarray, np.nda
     xb = xs[:, 1:2 * n_pairs:2]
     valid = ~np.isnan(xb)
     rows = np.nonzero(valid)[0] + r0
-    # clamp to just outside the grid so infinite crossings from
+    # clamp to just outside the window so infinite crossings from
     # near-degenerate edges cast cleanly; pairing is unaffected
-    xa = np.minimum(np.maximum(xa[valid], -1.0), width + 1.0)
-    xb = np.minimum(np.maximum(xb[valid], -1.0), width + 1.0)
-    c0 = np.maximum(np.ceil(xa - 0.5).astype(np.int64), 0)
-    c1 = np.minimum(np.ceil(xb - 0.5).astype(np.int64) - 1, width - 1)
+    xa = np.minimum(np.maximum(xa[valid], left - 1.0), left + width + 1.0)
+    xb = np.minimum(np.maximum(xb[valid], left - 1.0), left + width + 1.0)
+    c0 = np.maximum(np.ceil(xa - 0.5).astype(np.int64), left)
+    c1 = np.minimum(np.ceil(xb - 0.5).astype(np.int64) - 1, left + width - 1)
     ok = c0 <= c1
     return rows[ok], c0[ok], c1[ok]
+
+
+def _union_spans(rings: Iterable[Polygon], top: int, left: int, height: int, width: int) -> tuple[np.ndarray, ...]:
+    """The spans of every ring in one window, concatenated; spans of two rings may overlap."""
+    return tuple(np.concatenate(part) for part in zip(*(_ring_spans(r, top, left, height, width) for r in rings)))
 
 
 def _fill_spans(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray, height: int, width: int) -> np.ndarray:
@@ -436,6 +446,14 @@ def _fill_spans(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray, height: int, w
     for r, a, b in zip(rows.tolist(), c0.tolist(), c1.tolist()):
         grid[r, a:b + 1] = True
     return grid
+
+
+def rings_overlap(rings: Iterable[Polygon], height: int, width: int) -> bool:
+    """True when two of ``rings`` claim the same pixel of a ``(height, width)`` frame; read from their spans."""
+    rows, c0, c1 = _union_spans(rings, 0, 0, height, width)
+    order = np.lexsort((c0, rows))
+    rows, c0, c1 = rows[order], c0[order], c1[order]
+    return bool(np.any((rows[1:] == rows[:-1]) & (c0[1:] <= c1[:-1])))
 
 
 def rasterize(p: Polygon, height: int, width: int) -> np.ndarray:
@@ -448,7 +466,7 @@ def rasterize(p: Polygon, height: int, width: int) -> np.ndarray:
     """
     if height <= 0 or width <= 0:
         raise ValueError(f"grid dimensions must be positive, got {height}x{width}")
-    return _fill_spans(*_ring_spans(p, height, width), height, width)
+    return _fill_spans(*_ring_spans(p, 0, 0, height, width), height, width)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +489,8 @@ def mask_to_rle(mask: np.ndarray) -> RleMask:
 
 
 def rle_to_mask(r: RleMask) -> np.ndarray:
-    counts = np.asarray(r.counts, dtype=np.int64)
-    values = np.zeros(len(counts), dtype=bool)
-    values[1::2] = True
-    flat = np.repeat(values, counts)
-    return flat.reshape((r.height, r.width), order="F")
+    """Dense ``(height, width)`` decoding of the whole frame."""
+    return _rle_columns(r, 0, r.width)
 
 
 def rle_encode_string(r: RleMask) -> str:
@@ -846,55 +861,53 @@ def _rle_columns(r: RleMask, c_lo: int, c_hi: int) -> np.ndarray:
     starts, ends = r.runs
     i0 = bisect.bisect_right(ends, lo)  # one-runs ending at or before lo miss the window
     i1 = bisect.bisect_left(starts, hi)
-    flat = np.zeros(hi - lo, dtype=bool)
-    for s, e in zip(starts[i0:i1], ends[i0:i1]):
-        flat[max(s - lo, 0):e - lo] = True
+    bounds = np.empty(2 * (i1 - i0) + 2, dtype=np.int64)  # lo, each one-run's start and end, hi
+    bounds[0], bounds[-1] = lo, hi
+    bounds[1:-1:2], bounds[2:-1:2] = starts[i0:i1], ends[i0:i1]
+    values = np.zeros(len(bounds) - 1, dtype=bool)
+    values[1::2] = True
+    flat = np.repeat(values, np.diff(np.clip(bounds, lo, hi)))
     return flat.reshape((r.height, c_hi - c_lo), order="F")
 
 
-def _union_spans(rings: Iterable[Polygon], height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The spans of every ring on one grid, concatenated; :func:`_fill_spans` unites them."""
-    spans = [_ring_spans(ring, height, width) for ring in rings]
-    return tuple(np.concatenate(part) for part in zip(*spans))
-
-
-def _polygon_rle_iou(rings: tuple[Polygon, ...], r: RleMask) -> float:
-    """IoU of the union of ``rings`` and a mask, over the rings' clipped window."""
-    rows, c0, c1 = _union_spans(rings, r.height, r.width)
-    if not rows.size:  # no polygon pixel inside the frame
-        return 0.0
-    r_lo, r_hi = int(rows.min()), int(rows.max()) + 1
-    c_lo, c_hi = int(c0.min()), int(c1.max()) + 1
-    poly = _fill_spans(rows - r_lo, c0 - c_lo, c1 - c_lo, r_hi - r_lo, c_hi - c_lo)
-    mask = _rle_columns(r, c_lo, c_hi)[r_lo:r_hi]
-    inter = int(np.count_nonzero(poly & mask))
-    return inter / (int(np.count_nonzero(poly)) + r.area - inter)
+def _fill_rings(rings: Iterable[Polygon], top: int, left: int, height: int, width: int) -> tuple[int, int, np.ndarray]:
+    """``(top, left, grid)``: the union of ``rings``' pixels in the window, filled over their own extent."""
+    rows, c0, c1 = _union_spans(rings, top, left, height, width)
+    if not rows.size:
+        return top, left, np.zeros((0, 0), dtype=bool)
+    top, left = int(rows.min()), int(c0.min())
+    return top, left, _fill_spans(rows - top, c0 - left, c1 - left, int(rows.max()) + 1 - top, int(c1.max()) + 1 - left)
 
 
 def segmentation_iou(a: Segmentation, b: Segmentation) -> float:
     """Pixel-exact IoU between any two segmentation forms.
 
-    Two masks are compared run against run.  A polygon and a mask are
-    compared inside the mask's frame, over the window of the polygon's
-    own pixels clipped to that frame: polygon pixels outside the frame
-    do not count, and only the window's columns of the mask are
-    decoded.  Two polygons are rasterized onto a shared integer-offset
-    window covering both shapes, which preserves the pixel-center rule
-    exactly.
+    Two masks are compared run against run.  Any pair with a polygon is
+    compared inside one integer window, the mask's frame or one holding
+    both polygons: each polygon is filled over its own pixels' extent, a
+    mask decodes only the columns needed, and the intersection is counted
+    where the extents overlap.  Polygon pixels outside a mask's frame do
+    not count, and the result equals the IoU of the two :func:`rasterize`
+    renderings exactly.
     """
     if isinstance(a, RleMask):
-        return rle_iou(a, b) if isinstance(b, RleMask) else _polygon_rle_iou(b.rings, a)
+        if isinstance(b, RleMask):
+            return rle_iou(a, b)
+        a, b = b, a  # the IoU is symmetric; ``a`` is a polygon from here on
     if isinstance(b, RleMask):
-        return _polygon_rle_iou(a.rings, b)
-    ba, bb = a.bbox, b.bbox
-    x0 = math.floor(min(ba.x, bb.x)) - 1
-    y0 = math.floor(min(ba.y, bb.y)) - 1
-    x1 = math.ceil(max(ba.x + ba.w, bb.x + bb.w)) + 1
-    y1 = math.ceil(max(ba.y + ba.h, bb.y + bb.h)) + 1
-    h, w = max(1, y1 - y0), max(1, x1 - x0)
-    ma, mb = (
-        _fill_spans(*_union_spans([ring.translated(-x0, -y0) for ring in s.rings], h, w), h, w) for s in (a, b)
-    )
-    inter = int(np.count_nonzero(ma & mb))
-    union = int(np.count_nonzero(ma | mb))
+        window = (0, 0, b.height, b.width)
+    else:  # a window that holds both polygons, with a pixel to spare on each side
+        (xa, ya, wa, ha), (xb, yb, wb, hb) = a.bbox, b.bbox
+        top, left = math.floor(min(ya, yb)) - 1, math.floor(min(xa, xb)) - 1
+        window = (top, left, math.ceil(max(ya + ha, yb + hb)) + 1 - top, math.ceil(max(xa + wa, xb + wb)) + 1 - left)
+    top, left, grid = _fill_rings(a.rings, *window)
+    h, w = grid.shape
+    if isinstance(b, RleMask):
+        other, other_area = _rle_columns(b, left, left + w)[top:top + h], b.area
+    else:  # b's pixels over a's extent, and all of b's pixels for the union
+        rows, c0, c1 = _union_spans(b.rings, top, left, h, w)
+        other = _fill_spans(rows - top, c0 - left, c1 - left, h, w)
+        other_area = int(np.count_nonzero(_fill_rings(b.rings, *window)[2]))
+    inter = int(np.count_nonzero(grid & other))
+    union = int(np.count_nonzero(grid)) + other_area - inter
     return inter / union if union else 0.0

@@ -325,7 +325,11 @@ def write_tracks_csv(tracks: Sequence[Track]) -> bytes:
 
 
 def read_tracks_csv(data: bytes | str) -> list[Track]:
-    """Rebuild tracks from the CSV export (geometry is not round-tripped); a bad row raises SchemaError."""
+    """Rebuild tracks from the CSV export (geometry is not round-tripped); a bad row raises SchemaError.
+
+    An absent row carries no values: its cx, cy and score are empty and
+    interpolated is false.  Every row's frame is an integer.
+    """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     reader = csv.reader(io.StringIO(text))
     by_label: dict[str, list[TrackState]] = {}
@@ -356,6 +360,13 @@ def read_tracks_csv(data: bytes | str) -> list[Track]:
                 )
             elif present != "false":
                 raise ValueError(f"present must be true or false, got {present!r}")
+            elif cx or cy or score or interpolated != "false":
+                raise ValueError(
+                    "an absent row must have empty cx, cy and score and interpolated false,"
+                    f" got {cx!r}, {cy!r}, {score!r}, {interpolated!r}"
+                )
+            elif not frame.isdecimal():  # an absent row's frame is an integer too; most need no int() call
+                int(frame)
     except (ValueError, csv.Error) as e:
         raise SchemaError(f"line {reader.line_num}: {e}") from None
     try:

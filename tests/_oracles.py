@@ -20,18 +20,20 @@ from segtrack.errors import MissingDataError, brief_list
 from segtrack.tracking import Track, TrackState, filter_by_score
 
 
-def raster_oracle(points, height, width):
+def raster_oracle(points, height, width, top=0, left=0):
     """Even-odd fill computed one pixel center at a time by ray casting.
 
     Centers exactly on a crossing count as covered by the crossing at
-    or left of them, matching the library's half-open convention.
+    or left of them, matching the library's half-open convention.  The
+    grid covers frame rows ``top ..`` and columns ``left ..``, so its
+    pixel ``[r, c]`` has its center at ``(left + c + 0.5, top + r + 0.5)``.
     """
     n = len(points)
     mask = np.zeros((height, width), dtype=bool)
     for r in range(height):
-        py = r + 0.5
+        py = top + r + 0.5
         for c in range(width):
-            px = c + 0.5
+            px = left + c + 0.5
             crossings = 0
             for i in range(n):
                 x1, y1 = points[i]
@@ -568,3 +570,39 @@ def reference_disc_mask(cx, cy, radius, height, width):
         counts.append(height * width - end)
     rle = geometry.RleMask(height, width, tuple(counts))
     return rle, rle.bbox
+
+
+# ---------------------------------------------------------------------------
+# mask centroid and bbox, one column of a run at a time
+
+
+def reference_centroid_and_bbox(mask):
+    """``(centroid, bbox)`` of an RLE mask, walking each run one column at a time.
+
+    The library's former loop: ``RleMask._centroid_and_bbox`` must give
+    the same values exactly (the centroid is None on an empty mask).
+    """
+    starts, ends = mask.runs
+    if not starts:
+        return None, geometry.BoundingBox(0.0, 0.0, 0.0, 0.0)
+    h = mask.height
+    col_sum = 0
+    row_sum = 0
+    top, bottom = h, 0  # row span [top, bottom)
+    for s, e in zip(starts, ends):
+        while s < e:  # rows r..r+n-1 of column s // h, one column of the run at a time
+            r = s % h
+            n = e - s if r + e - s <= h else h - r
+            col_sum += s // h * n
+            row_sum += (2 * r + n - 1) * n // 2
+            if r < top:
+                top = r
+            if r + n > bottom:
+                bottom = r + n
+            s += n
+    area = mask.area
+    c_min, c_max = starts[0] // h, (ends[-1] - 1) // h
+    return (
+        geometry.Point(col_sum / area + 0.5, row_sum / area + 0.5),
+        geometry.BoundingBox(float(c_min), float(top), float(c_max - c_min + 1), float(bottom - top)),
+    )

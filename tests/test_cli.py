@@ -313,6 +313,22 @@ def test_eval_mot_frame_log(tmp_path):
     assert not (tmp_path / "refused.csv").exists() and not (tmp_path / "same.csv").exists()
 
 
+def test_eval_mot_matches_polygon_prediction_to_polygon_label(tmp_path):
+    # two triangles whose pixels overlap by a third: a one-decimal ring pair compares exactly
+    gt = {"images": [{"id": 1, "file_name": "a.png", "height": 6, "width": 6, "frame_index": 0}],
+          "categories": [{"id": 1, "name": "a"}],
+          "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "segmentation": [[3.8, 0.3, 0.6, 1.3, 1.5, 2.5]]}]}
+    pred = {"frame": 0, "label": "a", "score": 0.9, "bbox": [0.2, 0.1, 2.7, 1.8],
+            "segmentation": [[2.9, 0.1, 1.4, 1.6, 0.2, 1.9]]}
+    (tmp_path / "gt.json").write_text(json.dumps(gt))
+    (tmp_path / "tri.jsonl").write_text(json.dumps(pred) + "\n")
+    assert run(["eval-mot", "--gt", tmp_path / "gt.json", "--pred", tmp_path / "tri.jsonl", "--iou", 0.3,
+                "--out", tmp_path / "mot.csv", "--frame-log", tmp_path / "log.jsonl"]) == 0
+    assert (tmp_path / "mot.csv").read_text().splitlines()[1] == "tri,1,1,0,0,0,1.000000,0.333333"
+    (entry,) = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+    assert entry["matches"] == [["a", "a", 1 / 3]]
+
+
 def test_track_interpolation_flag(tmp_path):
     out = tmp_path / "scen"
     assert run(["synth", "--out-dir", out, "--animals", 2, "--frames", 40,

@@ -240,6 +240,36 @@ def test_convert_rejects_coordinates_whose_area_overflows(group_id):
         labelme_to_coco(docs)
 
 
+SQUARE_10 = [(0, 0), (10, 0), (10, 10), (0, 10)]
+
+
+@pytest.mark.parametrize(
+    "second,group_id",
+    [([(0, 0), (10, 0), (10, 5), (0, 5)], 4), ([(9.2, 2), (12, 2), (12, 4), (9.2, 4)], 0)],
+    ids=["own-top-half", "two-pixels-of-one-column"],
+)
+def test_convert_refuses_group_whose_rings_share_a_pixel(second, group_id):
+    shapes = [polygon_shape("a", SQUARE_10), polygon_shape("b", SQUARE_10, group_id), polygon_shape("b", second, group_id)]
+    docs = [parse_labelme(labelme_json("a.png", [polygon_shape("a", SQUARE_PTS)])), parse_labelme(labelme_json("b.png", shapes))]
+    with pytest.raises(ConflictError) as e:
+        labelme_to_coco(docs)
+    assert str(e.value) == f"document 'b.png', shape 1: the rings of group {group_id} share a pixel"
+    shapes[2]["group_id"] = None  # the same rings as two instances are accepted
+    assert len(labelme_to_coco([parse_labelme(labelme_json("b.png", shapes))]).annotations) == 3
+
+
+@pytest.mark.parametrize(
+    "second",
+    [[(10, 0), (20, 0), (20, 10), (10, 10)], [(9.6, 2), (12, 2), (12, 4), (9.6, 4)], [(-20, -20), (5, -20), (5, 0.5), (-20, 0.5)]],
+    ids=["shared-edge", "crossing-no-center", "overlap-outside-frame"],
+)
+def test_convert_accepts_group_whose_rings_share_no_pixel_center(second):
+    shapes = [polygon_shape("b", SQUARE_10, 2), polygon_shape("b", second, 2)]
+    (ann,) = labelme_to_coco([parse_labelme(labelme_json("b.png", shapes))]).annotations
+    assert isinstance(ann.segmentation, MultiPolygon)
+    assert ann.area == 100.0 + Polygon(second).area
+
+
 def test_convert_preserves_shape_count_without_groups():
     shapes = [polygon_shape(f"v{i}", SQUARE_PTS) for i in range(5)]
     ds = labelme_to_coco([parse_labelme(labelme_json("a.png", shapes))])
@@ -469,6 +499,21 @@ def test_coco_integral_float_reads_as_int():
     doc["images"][0]["height"] = float(doc["images"][0]["height"])
     height = read_coco(json.dumps(doc)).images[0].height
     assert type(height) is int and height == doc["images"][0]["height"]
+
+
+@pytest.mark.parametrize("ring,bad", [(["0", True, "4", 0, 4, 4], '"0"'), ([0, True, 4, 0, 4, 4], "true")])
+def test_polygon_coordinates_must_be_json_numbers(ring, bad):
+    doc = _coco_doc()
+    doc["annotations"][1]["segmentation"] = [[0, 0, 4, 0, 4, 4], ring]
+    message = f"invalid segmentation: polygon coordinates must be numbers, got {bad}"
+    with pytest.raises(SchemaError) as e:
+        read_coco(json.dumps(doc))
+    assert str(e.value) == f"annotation 1: {message}"
+    raw = json.loads(prediction_line())
+    raw["segmentation"] = [ring]
+    with pytest.raises(SchemaError) as e:
+        parse_predictions(prediction_line() + "\n" + json.dumps(raw))
+    assert str(e.value) == f"line 2: {message}"
 
 
 def test_coco_segmentation_errors_name_record():

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segtrack import geometry
 from segtrack.errors import (
     CorruptRleError,
     CorruptStringError,
@@ -37,7 +42,7 @@ from segtrack.geometry import (
     simplify_polygon,
 )
 
-from _oracles import dense_iou, raster_oracle
+from _oracles import dense_iou, raster_oracle, reference_centroid_and_bbox
 
 SQUARE = Polygon.from_xy([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = Polygon.from_xy([(0, 0), (4, 0), (0, 3)])
@@ -627,6 +632,31 @@ def test_rle_derived_values_match_dense_reference(r):
     assert r == twin and hash(r) == hash(twin) == before
 
 
+@settings(max_examples=300, deadline=None)
+@given(r=_rle_masks())
+@example(r=RleMask(4, 3, (2, 9, 1)))  # first partial, one full and last partial column
+@example(r=RleMask(3, 4, (3, 6, 3)))  # two full columns
+@example(r=RleMask(3, 3, (2, 2, 5)))  # across one column boundary
+@example(r=RleMask(1, 7, (1, 2, 0, 3, 1)))
+@example(r=RleMask(5, 5, (4, 1, 3, 12, 5)))  # a one-column run, then a crossing run
+def test_rle_centroid_and_bbox_equal_per_column_oracle(r):
+    assert r._centroid_and_bbox == reference_centroid_and_bbox(r)
+
+
+def test_rle_centroid_of_a_run_across_a_trillion_columns_is_one_step():
+    # a fresh interpreter under a timeout, so a per-column walk fails instead of hanging the suite
+    code = (
+        "from segtrack.geometry import RleMask\n"
+        "r = RleMask(1, 10**12, (0, 10**12))\n"
+        "assert r.centroid == (5e11, 0.5), r.centroid\n"
+        "assert r.bbox == (0.0, 0.0, 1e12, 1.0), r.bbox\n"
+    )
+    src = str(Path(geometry.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # multi-ring segmentations
 
@@ -717,6 +747,56 @@ def test_segmentation_iou_translation_window():
     a = Polygon.from_xy([(100, 200), (110, 200), (110, 210), (100, 210)])
     b = Polygon.from_xy([(105, 200), (115, 200), (115, 210), (105, 210)])
     assert segmentation_iou(a, b) == pytest.approx(50 / 150)
+    # each polygon is filled over its own extent, never over the window that holds both
+    far = Polygon.from_xy([(1e6, 1e6), (1e6 + 4, 1e6), (1e6 + 4, 1e6 + 4)])
+    assert segmentation_iou(a, far) == segmentation_iou(far, a) == 0.0
+
+
+TRI_A = [(3.8, 0.3), (0.6, 1.3), (1.5, 2.5)]
+TRI_B = [(2.9, 0.1), (1.4, 1.6), (0.2, 1.9)]
+
+
+def test_segmentation_iou_polygon_pair_compares_as_polygon_and_mask():
+    a, b = Polygon.from_xy(TRI_A), Polygon.from_xy(TRI_B)
+    assert segmentation_iou(a, b) == segmentation_iou(b, a) == 1 / 3
+    assert segmentation_iou(a, mask_to_rle(rasterize(b, 6, 6))) == 1 / 3
+
+
+_pair_coord = st.one_of(
+    st.integers(-60, 180).map(lambda k: k / 10),  # one decimal, as hand-drawn labels often are
+    st.integers(-12, 36).map(lambda k: k / 2),  # on pixel centers and corners
+    st.floats(-6, 18),
+)
+_pair_rings = st.lists(st.lists(st.tuples(_pair_coord, _pair_coord), min_size=3, max_size=7), min_size=1, max_size=3)
+
+
+def _window_render(rings, top, left, height, width):
+    grid = np.zeros((height, width), dtype=bool)
+    for ring in rings:
+        grid |= raster_oracle(ring, height, width, top, left)
+    return grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(rings_a=_pair_rings, rings_b=_pair_rings)
+@example(rings_a=[TRI_A], rings_b=[TRI_B])
+@example(rings_a=[[(-3.5, -2.5), (1.5, -2.5), (1.5, 0.5)]], rings_b=[[(-3.5, -2.5), (1.5, 0.5), (-3.5, 0.5)]])
+@example(rings_a=[[(0, 0), (5, 0), (5, 5), (0, 5)], [(3, 3), (9, 3), (9, 9)]], rings_b=[[(40, 40), (44, 40), (44, 44)]])
+def test_segmentation_iou_polygon_pair_equals_dense_reference(rings_a, rings_b):
+    a, b = ([Polygon.from_xy(r) for r in rings] for rings in (rings_a, rings_b))
+    seg_a = a[0] if len(a) == 1 else MultiPolygon(a)
+    seg_b = b[0] if len(b) == 1 else MultiPolygon(b)
+    xs = [x for ring in rings_a + rings_b for x, _ in ring]
+    ys = [y for ring in rings_a + rings_b for _, y in ring]
+    top, left = math.floor(min(ys)) - 1, math.floor(min(xs)) - 1
+    height, width = math.ceil(max(ys)) + 1 - top, math.ceil(max(xs)) + 1 - left
+    want = dense_iou(_window_render(rings_a, top, left, height, width), _window_render(rings_b, top, left, height, width))
+    assert segmentation_iou(seg_a, seg_b) == segmentation_iou(seg_b, seg_a) == want
+    if top >= -1 and left >= -1:  # inside the frame: as a polygon compares with the other's rendering
+        frame_b = np.zeros((height + top, width + left), dtype=bool)
+        for ring in b:
+            frame_b |= rasterize(ring, height + top, width + left)
+        assert segmentation_iou(seg_a, mask_to_rle(frame_b)) == want
 
 
 def test_rasterized_area_close_to_shoelace():

@@ -434,9 +434,15 @@ _CSV_HEAD = "frame,label,present,cx,cy,score,interpolated\n0,a,true,1.0,2.0,0.9,
         (_CSV_HEAD + "1,a,true,,,NaN,false\n", "line 3: cx, cy and score must be finite, got '', '', 'NaN'"),
         (_CSV_HEAD + "1,a,true,1,1,0.5,maybe\n", "line 3: interpolated must be true or false, got 'maybe'"),
         (_CSV_HEAD + "1,a,false,,,,\n", "line 3: interpolated must be true or false, got ''"),
+        (_CSV_HEAD + "xyz,a,false,,,,false\n", "line 3: invalid literal for int() with base 10: 'xyz'"),
+        (_CSV_HEAD + "1,a,false,5,6,0.3,false\n",
+         "line 3: an absent row must have empty cx, cy and score and interpolated false, got '5', '6', '0.3', 'false'"),
+        (_CSV_HEAD + "1,a,false,,,,true\n",
+         "line 3: an absent row must have empty cx, cy and score and interpolated false, got '', '', '', 'true'"),
     ],
     ids=["short-row", "bad-present", "bad-frame", "empty-cy", "carriage-return", "bad-header", "repeated-frame",
-         "nan-cx", "infinite-cy", "nan-score", "bad-interpolated", "absent-empty-interpolated"],
+         "nan-cx", "infinite-cy", "nan-score", "bad-interpolated", "absent-empty-interpolated",
+         "absent-bad-frame", "absent-with-values", "absent-interpolated"],
 )
 def test_tracks_csv_malformed_row_names_line(text, message):
     with pytest.raises(SchemaError) as e:
