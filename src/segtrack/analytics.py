@@ -6,11 +6,13 @@ deterministic bytes so identical inputs always yield identical files.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import zlib
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import geometry
 from .errors import MissingDataError, brief_list
@@ -182,6 +184,16 @@ def _fmt(value, decimals=3) -> str:
     return f"{value:.{decimals}f}"
 
 
+def csv_bytes(rows: Iterable[Sequence[str]]) -> bytes:
+    """CSV lines ending in ``\\n``, each field quoted as the csv module quotes it, as the track CSV is.
+
+    A label may hold a comma or a quote; a field that needs no quoting is written as it is.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
 def emit_report(rows, format: str = "csv", name: str = "-") -> bytes:
     """Serialize an evaluation report or stats table to CSV or JSON bytes.
 
@@ -193,10 +205,8 @@ def emit_report(rows, format: str = "csv", name: str = "-") -> bytes:
 
     if isinstance(rows, ApReport):
         if format == "csv":
-            out = ["category,AP,AP50,AP75,APS,APM,APL"]
-            for row in rows.rows:
-                out.append(",".join([row.name] + [_fmt(v) for v in row.values()]))
-            return ("\n".join(out) + "\n").encode("utf-8")
+            header = ["category", "AP", "AP50", "AP75", "APS", "APM", "APL"]
+            return csv_bytes([header, *([row.name, *map(_fmt, row.values())] for row in rows.rows)])
         payload = [
             {
                 "category": r.name,
@@ -209,20 +219,18 @@ def emit_report(rows, format: str = "csv", name: str = "-") -> bytes:
 
     if isinstance(rows, MotReport):
         if format == "csv":
-            header = "video,n_frames,n_gt,fn,fp,ids,mota,motp"
-            line = ",".join(
-                [
-                    name,
-                    str(rows.n_frames),
-                    str(rows.n_gt),
-                    str(rows.false_negatives),
-                    str(rows.false_positives),
-                    str(rows.id_switches),
-                    f"{rows.mota:.6f}",
-                    f"{rows.motp:.6f}",
-                ]
-            )
-            return (header + "\n" + line + "\n").encode("utf-8")
+            header = ["video", "n_frames", "n_gt", "fn", "fp", "ids", "mota", "motp"]
+            line = [
+                name,
+                str(rows.n_frames),
+                str(rows.n_gt),
+                str(rows.false_negatives),
+                str(rows.false_positives),
+                str(rows.id_switches),
+                f"{rows.mota:.6f}",
+                f"{rows.motp:.6f}",
+            ]
+            return csv_bytes([header, line])
         payload = {
             "video": name,
             "n_frames": rows.n_frames,
@@ -239,10 +247,10 @@ def emit_report(rows, format: str = "csv", name: str = "-") -> bytes:
     if not all(isinstance(s, TrajectoryStats) for s in stats):
         raise TypeError("rows must be an ApReport, a MotReport, or TrajectoryStats")
     if format == "csv":
-        out = ["label,distance_traveled,frames_present,mean_speed"]
-        for s in stats:
-            out.append(f"{s.label},{s.distance_traveled:.3f},{s.frames_present},{s.mean_speed:.3f}")
-        return ("\n".join(out) + "\n").encode("utf-8")
+        header = ["label", "distance_traveled", "frames_present", "mean_speed"]
+        return csv_bytes(
+            [header, *([s.label, f"{s.distance_traveled:.3f}", str(s.frames_present), f"{s.mean_speed:.3f}"] for s in stats)]
+        )
     payload = [
         {
             "label": s.label,
@@ -257,6 +265,11 @@ def emit_report(rows, format: str = "csv", name: str = "-") -> bytes:
 
 # ---------------------------------------------------------------------------
 # trajectory plotting
+
+
+def _svg_text(label: str) -> str:
+    """``label`` as SVG character data: ``&``, ``<`` and ``>`` escaped, as a label may hold them."""
+    return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def label_color(label: str) -> str:
@@ -293,7 +306,7 @@ def plot_trajectories(tracks: Sequence[Track], width: int, height: int) -> bytes
     for i, track in enumerate(ordered):
         parts.append(
             f'<text x="6" y="{28 + 14 * i}" font-size="11" '
-            f'fill="{label_color(track.label)}">{track.label}</text>'
+            f'fill="{label_color(track.label)}">{_svg_text(track.label)}</text>'
         )
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, formats, metrics, synth, tracking
-from .errors import OutOfRangeError, ParseError, SchemaError, SegtrackError
+from .errors import OutOfRangeError, OversizedPolygonError, ParseError, SchemaError, SegtrackError
 from .metrics import MotConfig
 
 
@@ -139,7 +139,10 @@ def _cmd_eval_mot(args) -> None:
     gt_tracks = _load(args.gt, lambda data: formats.coco_to_tracks(formats.read_coco(data)))
     pred_tracks = _load_pred_tracks(args.pred, args.score_threshold)
     cfg = MotConfig(iou_threshold=args.iou, denominator=args.denominator)
-    report = metrics.evaluate_mot(gt_tracks, pred_tracks, cfg)
+    try:
+        report = metrics.evaluate_mot(gt_tracks, pred_tracks, cfg)
+    except OversizedPolygonError as e:  # evaluate_mot takes each IoU as (ground truth, prediction)
+        raise OutOfRangeError(f"{(args.gt, args.pred)[e.operand]}: {e}") from e
     name = Path(args.pred).stem
     _emit(args.out, analytics.emit_report(report, format=args.format, name=name), args.force)
     if args.frame_log:
@@ -158,6 +161,8 @@ def _cmd_eval_coco(args) -> None:
         report = metrics.evaluate_coco_ap(gt, preds, max_dets=args.max_dets)
     except SchemaError as e:  # a prediction with an unknown category or frame
         raise SchemaError(f"{args.pred}: {e}") from e
+    except OversizedPolygonError as e:  # evaluate_coco_ap takes each IoU as (prediction, ground truth)
+        raise OutOfRangeError(f"{(args.pred, args.gt)[e.operand]}: {e}") from e
     scaled = metrics.ApReport(
         rows=tuple(metrics.ApRow(r.name, *map(_percent, r.values())) for r in report.rows)
     )
@@ -168,10 +173,9 @@ def _cmd_analyze(args) -> None:
     _check_writable(args.force, args.out, args.interactions_out)
     tracks = _load(args.tracks, tracking.read_tracks_csv)
     zones = [analytics.ZoneDefinition(*zone) for zone in _load(args.zones, formats.parse_zones)] if args.zones else []
-    lines = []
     header = ["label", "frames_present", "distance_traveled", "mean_speed"]
     header += [f"zone_{z.name}" for z in zones] + (["zone_outside"] if zones else [])
-    lines.append(",".join(header))
+    lines = [header]
     for track in tracks:
         stats = analytics.track_stats(track, px_per_unit=args.px_per_unit)
         row = [
@@ -184,16 +188,16 @@ def _cmd_analyze(args) -> None:
             occ = analytics.zone_occupancy(track, zones)
             row += [f"{occ[z.name].fraction:.3f}" for z in zones]
             row.append(f"{occ[analytics.OUTSIDE_ZONE].fraction:.3f}")
-        lines.append(",".join(row))
-    _emit(args.out, ("\n".join(lines) + "\n").encode("utf-8"), args.force)
+        lines.append(row)
+    _emit(args.out, analytics.csv_bytes(lines), args.force)
 
     if args.interactions_out:
         events = analytics.interaction_events(
             tracks, threshold=args.interaction_distance, min_duration=args.min_duration
         )
-        rows = ["label_a,label_b,start_frame,end_frame"]
-        rows += [f"{e.labels[0]},{e.labels[1]},{e.start_frame},{e.end_frame}" for e in events]
-        _write_output(args.interactions_out, ("\n".join(rows) + "\n").encode("utf-8"), args.force)
+        rows = [["label_a", "label_b", "start_frame", "end_frame"]]
+        rows += [[*e.labels, str(e.start_frame), str(e.end_frame)] for e in events]
+        _write_output(args.interactions_out, analytics.csv_bytes(rows), args.force)
 
 
 def _cmd_synth(args) -> None:

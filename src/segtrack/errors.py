@@ -59,6 +59,14 @@ class OutOfRangeError(SegtrackError):
     """A numeric field lies outside its documented range."""
 
 
+class OversizedPolygonError(OutOfRangeError):
+    """A polygon would fill more pixels than an IoU may; ``operand`` is its argument position (0 or 1) in that IoU."""
+
+    def __init__(self, message: str, operand: int | None = None) -> None:
+        super().__init__(message)
+        self.operand = operand
+
+
 class UndefinedMetricError(SegtrackError):
     """Metric denominator is empty; the value is undefined."""
 

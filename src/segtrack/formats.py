@@ -13,6 +13,9 @@ polygon list-of-rings, uncompressed RLE ``{"size": [h, w], "counts":
 ``Polygon`` and several as a ``MultiPolygon``; each is written back as rings.
 ``read_coco`` and ``parse_predictions`` check every field first and then
 decode the file's counts strings in batches (``geometry.rle_decode_many``).
+``write_coco`` and ``write_predictions`` give the bytes of ``json.dumps``
+from fixed record templates, with every counts string of the file encoded
+in one batch (``geometry.rle_encode_many``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Sequence
 
 from . import geometry
 from .errors import (
@@ -489,34 +493,111 @@ def _decode_masks(pending: list[tuple[str, tuple[str, tuple[int, int]]]]) -> lis
     return masks
 
 
+def _json_scalar(value) -> str:
+    """One JSON leaf exactly as ``json.dumps`` writes it.
+
+    Strings go through json's own ``encode_basestring_ascii`` (a counts
+    string may hold a backslash); ints and floats through ``int.__repr__``
+    and ``float.__repr__``, with json's ``NaN`` and ``Infinity``.
+    """
+    if type(value) is int:  # ids and sizes, the most common leaf
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _counts_literals(segs: Iterable[Segmentation]) -> Iterator[str]:
+    """The counts string of each mask among ``segs`` as a JSON string, all encoded in one batch."""
+    masks = [seg for seg in segs if isinstance(seg, RleMask)]
+    return map(encode_basestring_ascii, geometry.rle_encode_many(masks))
+
+
+def _json_leaves(leaves: Sequence, sep: str) -> str:
+    """The leaves as :func:`_json_scalar` writes them, joined by ``sep``.
+
+    A list of finite floats, such as a ring or a box, is written by
+    ``float.__repr__`` at C speed; any other leaf fails that map with a
+    TypeError, and a non-finite one writes ``nan`` or ``inf``, the only
+    float reprs with an ``n``.  Either sends the list through
+    :func:`_json_scalar` one leaf at a time.
+    """
+    try:
+        text = sep.join(map(float.__repr__, leaves))
+    except TypeError:
+        text = "n"
+    return sep.join(map(_json_scalar, leaves)) if "n" in text else text
+
+
+def _indented_list(leaves: Sequence, indent: str) -> str:
+    """A list of scalars in the ``indent=2`` layout, opened at nesting ``indent``: one leaf per line."""
+    if not leaves:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + _json_leaves(leaves, f",\n{inner}") + f"\n{indent}]"
+
+
+def _compact_list(leaves: Sequence) -> str:
+    """A list of scalars as ``json.dumps`` writes it with its default separators."""
+    return "[" + _json_leaves(leaves, ", ") + "]"
+
+
+def _indented_section(records: list[str]) -> str:
+    """A top-level list of rendered records in the ``indent=2`` layout."""
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+
+
+def _coco_image(img: CocoImage) -> str:
+    frame = "" if img.frame_index is None else f',\n      "frame_index": {_json_scalar(img.frame_index)}'
+    return (
+        f'    {{\n      "id": {_json_scalar(img.id)},\n      "file_name": {_json_scalar(img.file_name)},\n'
+        f'      "height": {_json_scalar(img.height)},\n      "width": {_json_scalar(img.width)}{frame}\n    }}'
+    )
+
+
+def _coco_annotation(ann: CocoAnnotation, counts: Iterator[str]) -> str:
+    seg = ann.segmentation
+    if isinstance(seg, RleMask):
+        size = _indented_list((seg.height, seg.width), "        ")
+        form = f'{{\n        "size": {size},\n        "counts": {next(counts)}\n      }}'
+    else:
+        rings = [_indented_list([c for p in ring.points for c in p], "        ") for ring in seg.rings]
+        form = "[\n        " + ",\n        ".join(rings) + "\n      ]"
+    return (
+        f'    {{\n      "id": {_json_scalar(ann.id)},\n      "image_id": {_json_scalar(ann.image_id)},\n'
+        f'      "category_id": {_json_scalar(ann.category_id)},\n      "segmentation": {form},\n'
+        f'      "bbox": {_indented_list(ann.bbox, "      ")},\n      "area": {_json_scalar(ann.area)},\n'
+        f'      "iscrowd": {_json_scalar(ann.iscrowd)}\n    }}'
+    )
+
+
 def write_coco(ds: CocoDataset) -> bytes:
-    """Serialize with a fixed key order so identical datasets yield identical bytes."""
-    payload = {
-        "images": [
-            {
-                "id": img.id,
-                "file_name": img.file_name,
-                "height": img.height,
-                "width": img.width,
-                **({"frame_index": img.frame_index} if img.frame_index is not None else {}),
-            }
-            for img in ds.images
-        ],
-        "annotations": [
-            {
-                "id": ann.id,
-                "image_id": ann.image_id,
-                "category_id": ann.category_id,
-                "segmentation": encode_segmentation(ann.segmentation),
-                "bbox": list(ann.bbox),
-                "area": ann.area,
-                "iscrowd": ann.iscrowd,
-            }
-            for ann in ds.annotations
-        ],
-        "categories": [{"id": c.id, "name": c.name} for c in ds.categories],
-    }
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    """Serialize with a fixed key order so identical datasets yield identical bytes.
+
+    The bytes are those of ``json.dumps(payload, indent=2) + "\\n"`` over
+    the records' fields in declaration order (``frame_index`` only when
+    set, segmentations as :func:`encode_segmentation` gives them), but each
+    record is rendered from a fixed template and all counts strings are
+    encoded in one batch.
+    """
+    counts = _counts_literals(ann.segmentation for ann in ds.annotations)
+    categories = [
+        f'    {{\n      "id": {_json_scalar(c.id)},\n      "name": {_json_scalar(c.name)}\n    }}' for c in ds.categories
+    ]
+    text = (
+        f'{{\n  "images": {_indented_section([_coco_image(img) for img in ds.images])},\n'
+        f'  "annotations": {_indented_section([_coco_annotation(ann, counts) for ann in ds.annotations])},\n'
+        f'  "categories": {_indented_section(categories)}\n}}\n'
+    )
+    return text.encode("ascii")
 
 
 def read_coco(data: bytes | str) -> CocoDataset:
@@ -624,20 +705,23 @@ def parse_predictions(stream: bytes | str | Iterable[str]) -> list[DetectionReco
 
 
 def write_predictions(records: Sequence[DetectionRecord]) -> bytes:
+    """One JSON line per record, as ``json.dumps`` writes it with its default separators.
+
+    Each line is rendered from a fixed template, and all counts strings are encoded in one batch.
+    """
+    counts = _counts_literals(r.segmentation for r in records)
     lines = []
     for r in records:
+        seg = r.segmentation
+        if isinstance(seg, RleMask):
+            form = f'{{"size": {_compact_list((seg.height, seg.width))}, "counts": {next(counts)}}}'
+        else:
+            form = "[" + ", ".join(_compact_list([c for p in ring.points for c in p]) for ring in seg.rings) + "]"
         lines.append(
-            json.dumps(
-                {
-                    "frame": r.frame,
-                    "label": r.label,
-                    "score": r.score,
-                    "bbox": list(r.bbox),
-                    "segmentation": encode_segmentation(r.segmentation),
-                }
-            )
+            f'{{"frame": {_json_scalar(r.frame)}, "label": {_json_scalar(r.label)}, "score": {_json_scalar(r.score)},'
+            f' "bbox": {_compact_list(r.bbox)}, "segmentation": {form}}}\n'
         )
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+    return "".join(lines).encode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ mask's frame, or a window holding both polygons.  Spans stay in frame
 pixel indices, each polygon is filled over its own extent, a mask
 decodes only the columns needed, and no vertex is ever shifted.  So
 polygon pixels outside a mask's frame do not count, and the result
-equals a comparison of the two full-frame renderings exactly.
+equals a comparison of the two full-frame renderings exactly.  A polygon
+that could fill more than ``_MAX_FILL`` pixels is refused before any
+grid is built.
 
 All functions are pure; nothing here holds global state, so every
 operation is safe to call from concurrent threads.
@@ -45,6 +47,7 @@ from .errors import (
     CorruptStringError,
     EmptySegmentationError,
     InvalidPolygonError,
+    OversizedPolygonError,
 )
 
 
@@ -112,13 +115,17 @@ class Polygon:
         return abs(float(np.sum(x * y2 - x2 * y))) / 2.0
 
     @cached_property
-    @np.errstate(over="ignore", invalid="ignore")
+    def _bounds(self) -> tuple[float, float, float, float]:
+        """``(x0, y0, x1, y1)``: the least and greatest vertex coordinates, exact."""
+        pts = self.as_array()
+        (x0, y0), (x1, y1) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+        return x0, y0, x1, y1
+
+    @cached_property
     def bbox(self) -> BoundingBox:
         """Tight axis-aligned bounds of the vertices."""
-        pts = self.as_array()
-        x0, y0 = pts.min(axis=0)
-        x1, y1 = pts.max(axis=0)
-        return BoundingBox(float(x0), float(y0), float(x1 - x0), float(y1 - y0))
+        x0, y0, x1, y1 = self._bounds
+        return BoundingBox(x0, y0, x1 - x0, y1 - y0)
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
@@ -520,6 +527,49 @@ def rle_encode_string(r: RleMask) -> str:
     return "".join(out)
 
 
+_DECODE_CHUNK = 512  # strings (or masks) per numpy pass: a whole file at once holds far more memory, and runs slower
+_ENCODE_BOUND = 2**63  # a mask of fewer pixels holds every count, and every delta, in int64
+_GROUP_LIMITS = np.array([1 << (5 * k - 1) for k in range(1, 13)], dtype=np.int64)  # y >= 0 takes k groups iff y < 2**(5k-1)
+
+
+def rle_encode_many(masks: Sequence[RleMask]) -> list[str]:
+    """``[rle_encode_string(r) for r in masks]``, in numpy passes over chunks of ``_DECODE_CHUNK`` masks.
+
+    The mirror of :func:`rle_decode_many`, after the COCO API's
+    ``rleToString``: one pass takes every delta of a chunk, counts each
+    value's 6-bit groups, writes all groups into one ASCII buffer and
+    slices it per mask.  A mask's counts are nonnegative and sum to its
+    pixel count, so each count and delta of a mask under ``_ENCODE_BOUND``
+    pixels fits in int64; a larger mask goes through
+    :func:`rle_encode_string` itself.
+    """
+    out: list[str] = []
+    for lo in range(0, len(masks), _DECODE_CHUNK):
+        out += _encode_chunk(masks[lo : lo + _DECODE_CHUNK])
+    return out
+
+
+def _encode_chunk(masks: Sequence[RleMask]) -> list[str]:
+    fits = [r.height * r.width < _ENCODE_BOUND for r in masks]
+    batch = [r.counts for r, ok in zip(masks, fits) if ok]
+    lengths = np.fromiter(map(len, batch), np.intp, len(batch))  # each >= 1, since counts sum to h * w >= 1
+    counts = np.fromiter(itertools.chain.from_iterable(batch), np.int64, int(lengths.sum()))
+    x = counts.copy()
+    x[2:] -= counts[:-2]  # the delta against the count two back; both are >= 0, so it cannot wrap
+    head = np.arange(len(x)) - np.repeat(np.cumsum(lengths) - lengths, lengths) < 2
+    x[head] = counts[head]  # each mask's first two counts are stored raw
+    # x ^ (x >> 63) is x, or ~x = -x - 1 for a negative x: the size that sets how many signed groups x takes
+    groups = np.searchsorted(_GROUP_LIMITS, x ^ (x >> 63), side="right") + 1
+    ends = np.cumsum(groups)
+    k = np.arange(int(groups.sum())) - np.repeat(ends - groups, groups)  # group index in its value
+    chars = (np.repeat(x, groups) >> (5 * k)) & 0x1F
+    chars |= (k < np.repeat(groups - 1, groups)) << 5  # the continuation flag on all but a value's last group
+    text = (chars + 48).astype(np.uint8).tobytes().decode("ascii")
+    bounds = [0] + ends[np.cumsum(lengths) - 1].tolist()
+    strings = (text[a:b] for a, b in zip(bounds, bounds[1:]))
+    return [next(strings) if ok else rle_encode_string(r) for r, ok in zip(masks, fits)]
+
+
 def rle_decode_string(s: str, height: int, width: int) -> RleMask:
     """Inverse of :func:`rle_encode_string`; validates the counts against the size.
 
@@ -554,7 +604,6 @@ def rle_decode_string(s: str, height: int, width: int) -> RleMask:
     return RleMask(height, width, tuple(counts))
 
 
-_DECODE_CHUNK = 512  # strings per numpy pass: a whole file at once holds far more memory, and runs slower
 _SUM_BOUND = 2.0**62  # a string whose values' magnitudes may sum past this could overflow int64
 
 
@@ -879,6 +928,34 @@ def _fill_rings(rings: Iterable[Polygon], top: int, left: int, height: int, widt
     return top, left, _fill_spans(rows - top, c0 - left, c1 - left, int(rows.max()) + 1 - top, int(c1.max()) + 1 - left)
 
 
+_MAX_FILL = 2**30  # pixels one polygon may fill in an IoU: a GiB for each grid of that size
+_MAX_INDEX = 2**62  # and all of them this close to the origin, so no pixel index overflows int64
+
+
+def _check_fill(p: Polygon | MultiPolygon, frame: tuple[int, int, int, int] | None, operand: int) -> None:
+    """Refuse ``p`` in an IoU when it could fill more than ``_MAX_FILL`` pixels inside ``frame``, or anywhere.
+
+    The pixels it could fill are its vertex bounds with a pixel to spare
+    on each side, cut to the frame ``(top, left, height, width)``, counted
+    in exact ints.  Too many of them, or one past ``_MAX_INDEX``, raises
+    :class:`OversizedPolygonError` naming the IoU argument ``operand``.
+    """
+    bounds = [r._bounds for r in p.rings]
+    top, left = math.ceil(min(b[1] for b in bounds) - 0.5) - 1, math.ceil(min(b[0] for b in bounds) - 0.5) - 1
+    bottom, right = math.ceil(max(b[3] for b in bounds) - 0.5) + 1, math.ceil(max(b[2] for b in bounds) - 0.5) + 1
+    if frame is not None:
+        top, left = max(top, frame[0]), max(left, frame[1])
+        bottom, right = min(bottom, frame[0] + frame[2]), min(right, frame[1] + frame[3])
+    if top < bottom and left < right and (
+        (bottom - top) * (right - left) > _MAX_FILL or max(-top, -left, bottom, right) > _MAX_INDEX
+    ):
+        raise OversizedPolygonError(
+            f"polygon with bbox {list(p.bbox)} is too large for an IoU, which fills at most"
+            f" {_MAX_FILL:,} pixels of a polygon, each within {_MAX_INDEX:,} of the origin",
+            operand,
+        )
+
+
 def segmentation_iou(a: Segmentation, b: Segmentation) -> float:
     """Pixel-exact IoU between any two segmentation forms.
 
@@ -888,15 +965,22 @@ def segmentation_iou(a: Segmentation, b: Segmentation) -> float:
     mask decodes only the columns needed, and the intersection is counted
     where the extents overlap.  Polygon pixels outside a mask's frame do
     not count, and the result equals the IoU of the two :func:`rasterize`
-    renderings exactly.
+    renderings exactly.  A polygon that could fill more than ``_MAX_FILL``
+    pixels (in the mask's frame, or anywhere against a polygon) raises
+    :class:`OversizedPolygonError` before anything is filled.
     """
+    operands = (0, 1)
     if isinstance(a, RleMask):
         if isinstance(b, RleMask):
             return rle_iou(a, b)
-        a, b = b, a  # the IoU is symmetric; ``a`` is a polygon from here on
+        a, b, operands = b, a, (1, 0)  # the IoU is symmetric; ``a`` is a polygon from here on
     if isinstance(b, RleMask):
         window = (0, 0, b.height, b.width)
+        if b.height * b.width > _MAX_FILL:  # a smaller frame holds every pixel a polygon may fill
+            _check_fill(a, window, operands[0])
     else:  # a window that holds both polygons, with a pixel to spare on each side
+        _check_fill(a, None, operands[0])
+        _check_fill(b, None, operands[1])  # so both boxes are finite, and the window's indices fit int64
         (xa, ya, wa, ha), (xb, yb, wb, hb) = a.bbox, b.bbox
         top, left = math.floor(min(ya, yb)) - 1, math.floor(min(xa, xb)) - 1
         window = (top, left, math.ceil(max(ya + ha, yb + hb)) + 1 - top, math.ceil(max(xa + wa, xb + wb)) + 1 - left)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from segtrack import geometry
 from segtrack.analytics import InteractionEvent
 from segtrack.errors import MissingDataError, brief_list
+from segtrack.formats import encode_segmentation
 from segtrack.tracking import Track, TrackState, filter_by_score
 
 
@@ -528,6 +530,58 @@ def reference_write_tracks_csv(tracks):
                     ]
                 )
     return buf.getvalue().encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# COCO and JSON-Lines writers through json.dumps
+
+
+def reference_write_coco(ds):
+    """The COCO file as ``json.dumps(payload, indent=2)`` writes it, one mask encoded at a time."""
+    payload = {
+        "images": [
+            {
+                "id": img.id,
+                "file_name": img.file_name,
+                "height": img.height,
+                "width": img.width,
+                **({"frame_index": img.frame_index} if img.frame_index is not None else {}),
+            }
+            for img in ds.images
+        ],
+        "annotations": [
+            {
+                "id": ann.id,
+                "image_id": ann.image_id,
+                "category_id": ann.category_id,
+                "segmentation": encode_segmentation(ann.segmentation),
+                "bbox": list(ann.bbox),
+                "area": ann.area,
+                "iscrowd": ann.iscrowd,
+            }
+            for ann in ds.annotations
+        ],
+        "categories": [{"id": c.id, "name": c.name} for c in ds.categories],
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+def reference_write_predictions(records):
+    """The prediction stream as ``json.dumps`` writes each line, one mask encoded at a time."""
+    lines = []
+    for r in records:
+        lines.append(
+            json.dumps(
+                {
+                    "frame": r.frame,
+                    "label": r.label,
+                    "score": r.score,
+                    "bbox": list(r.bbox),
+                    "segmentation": encode_segmentation(r.segmentation),
+                }
+            )
+        )
+    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

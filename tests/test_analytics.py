@@ -310,6 +310,22 @@ def test_emit_stats_csv():
     assert data.splitlines()[1] == "a,12.346,10,1.235"
 
 
+def test_emit_report_quotes_labels_as_the_csv_module_does():
+    stats = [TrajectoryStats("a,b", 2.0, 2, 1.0), TrajectoryStats('q"t', 0.0, 1, 0.0), TrajectoryStats("x<&y", 0.0, 1, 0.0)]
+    assert emit_report(stats, format="csv") == (
+        b'label,distance_traveled,frames_present,mean_speed\n"a,b",2.000,2,1.000\n"q""t",0.000,1,0.000\n'
+        b"x<&y,0.000,1,0.000\n"
+    )
+    row = ApRow("a,b", 1.0, 1.0, 1.0, None, 1.0, None)
+    assert emit_report(ApReport(rows=(row,)), format="csv") == (
+        b'category,AP,AP50,AP75,APS,APM,APL\n"a,b",1.000,1.000,1.000,-,1.000,-\n'
+    )
+    gt = [track_of_mask("v", range(2), square(0, 0))]
+    assert emit_report(evaluate_mot(gt, gt, MotConfig()), format="csv", name="clip,1").splitlines()[1] == (
+        b'"clip,1",2,2,0,0,0,1.000000,1.000000'
+    )
+
+
 def test_emit_deterministic():
     report = ApReport(rows=(MICE_ROW,))
     assert emit_report(report) == emit_report(report)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -327,6 +328,55 @@ def test_eval_mot_matches_polygon_prediction_to_polygon_label(tmp_path):
     assert (tmp_path / "mot.csv").read_text().splitlines()[1] == "tri,1,1,0,0,0,1.000000,0.333333"
     (entry,) = [json.loads(line) for line in (tmp_path / "log.jsonl").read_text().splitlines()]
     assert entry["matches"] == [["a", "a", 1 / 3]]
+
+
+_HUGE_RING, _SMALL_RING = [0, 0, 1e200, 0, 1e200, 1e200], [0, 0, 4, 0, 4, 4]
+
+
+@pytest.mark.parametrize("huge_in", ["gt", "pred"])
+@pytest.mark.parametrize("command", ["eval-mot", "eval-coco"])
+def test_eval_refuses_a_polygon_too_large_for_an_iou_naming_its_file(tmp_path, capsys, command, huge_in):
+    gt_ring, pred_ring = (_HUGE_RING, _SMALL_RING) if huge_in == "gt" else (_SMALL_RING, _HUGE_RING)
+    gt = {"images": [{"id": 1, "file_name": "a.png", "height": 8, "width": 8, "frame_index": 0}],
+          "categories": [{"id": 1, "name": "a"}],
+          "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "segmentation": [gt_ring]}]}
+    pred = {"frame": 0, "label": "a", "score": 0.9, "bbox": [0, 0, 1, 1], "segmentation": [pred_ring]}
+    paths = {"gt": tmp_path / "gt.json", "pred": tmp_path / "pred.jsonl"}
+    paths["gt"].write_text(json.dumps(gt))
+    paths["pred"].write_text(json.dumps(pred) + "\n")
+    assert run([command, "--gt", paths["gt"], "--pred", paths["pred"]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {paths[huge_in]}: polygon with bbox [0.0, 0.0, 1e+200, 1e+200] is too large for an IoU,"
+        " which fills at most 1,073,741,824 pixels of a polygon, each within 4,611,686,018,427,387,904 of the origin\n"
+    )
+
+
+def _labelled_tracks(tmp_path, labels=("a,b", "x<&y")):
+    """A track CSV of two animals 4 px apart in frames 0 and 1, each moving 2 px, under ``labels``."""
+    pred = tmp_path / "labels.jsonl"
+    pred.write_text("".join(_pred_line(f, label, 0.9, x=10 + 4 * i + 2 * f) for f in (0, 1) for i, label in enumerate(labels)))
+    tracks = tmp_path / "tracks.csv"
+    assert run(["track", "--pred", pred, "--out", tracks]) == 0
+    return tracks
+
+
+def test_analyze_quotes_labels_as_the_track_csv_does(tmp_path):
+    tracks = _labelled_tracks(tmp_path)
+    assert tracks.read_text().splitlines()[1] == '0,"a,b",true,20.0000,20.0000,0.900000,false'
+    stats, inter = tmp_path / "stats.csv", tmp_path / "inter.csv"
+    assert run(["analyze", "--tracks", tracks, "--out", stats, "--interactions-out", inter]) == 0
+    assert stats.read_text() == (
+        'label,frames_present,distance_traveled,mean_speed\n"a,b",2,2.000,2.000\nx<&y,2,2.000,2.000\n'
+    )
+    assert inter.read_text() == 'label_a,label_b,start_frame,end_frame\n"a,b",x<&y,0,1\n'
+
+
+def test_plot_escapes_labels_in_its_text(tmp_path):
+    svg = tmp_path / "tracks.svg"
+    assert run(["plot", "--tracks", _labelled_tracks(tmp_path), "--out", svg, "--width", 64, "--height", 64]) == 0
+    texts = minidom.parseString(svg.read_bytes()).getElementsByTagName("text")
+    assert [t.firstChild.data for t in texts] == ["tracks", "a,b", "x<&y"]
+    assert svg.read_text().splitlines()[-2] == '<text x="6" y="42" font-size="11" fill="#d62728">x&lt;&amp;y</text>'
 
 
 def test_track_interpolation_flag(tmp_path):

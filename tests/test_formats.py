@@ -5,6 +5,8 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segtrack.errors import (
     ConflictError,
@@ -36,7 +38,10 @@ from segtrack.formats import (
     write_coco,
     write_predictions,
 )
-from segtrack.geometry import MultiPolygon, Point, Polygon, RleMask, polygon_area
+from segtrack.geometry import BoundingBox, MultiPolygon, Point, Polygon, RleMask, polygon_area
+from segtrack.tracking import DetectionRecord
+
+from _oracles import reference_write_coco, reference_write_predictions
 
 
 def labelme_json(name="frame_000.png", shapes=None, **extra):
@@ -645,6 +650,93 @@ def test_parse_predictions_bad_counts_string_names_line(counts, error, message):
 def test_predictions_roundtrip():
     records = parse_predictions("\n".join(prediction_line(frame=i, score=0.25 * i) for i in range(4)))
     assert parse_predictions(write_predictions(records)) == records
+
+
+# ---------------------------------------------------------------------------
+# the writers equal json.dumps byte for byte
+
+_NAMES = st.one_of(st.text(), st.text(st.sampled_from('a"\\/\x00\n\t\x7fé☃\U0001f600\ud800'), min_size=1))
+_SCALARS = st.one_of(
+    st.integers(),
+    st.floats(),  # NaN and both infinities included, which json spells NaN and Infinity
+    st.booleans(),
+    st.sampled_from([1e16, 5e-324, -0.0, 1e-7, 0.1, 1.7976931348623157e308, 2**63, -(2**64)]),
+)
+_COORDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1e16, 5e-324, -0.0, 0.5]))
+_POLYGONS = st.lists(st.tuples(_COORDS, _COORDS), min_size=3, max_size=5).map(Polygon)
+
+
+@st.composite
+def _masks(draw):
+    """Legal counts, zero-length runs and a leading one-run included, on small frames."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cuts = sorted(draw(st.lists(st.integers(0, h * w), max_size=10)))
+    return RleMask(h, w, tuple(b - a for a, b in zip([0, *cuts], [*cuts, h * w])))
+
+
+_SEGMENTATIONS = st.one_of(
+    _POLYGONS,
+    st.lists(_POLYGONS, min_size=1, max_size=3).map(MultiPolygon),
+    _masks(),
+    st.just(RleMask(1, 2**70, (0, 2**70))),  # past int64: the one-mask encoder
+)
+_BOXES = st.one_of(st.tuples(_SCALARS, _SCALARS, _SCALARS, _SCALARS).map(lambda b: BoundingBox(*b)), st.lists(_SCALARS, max_size=2))
+_DATASETS = st.builds(
+    CocoDataset,
+    images=st.lists(st.builds(CocoImage, _SCALARS, _NAMES, _SCALARS, _SCALARS, st.one_of(st.none(), _SCALARS)), max_size=3),
+    annotations=st.lists(st.builds(CocoAnnotation, _SCALARS, _SCALARS, _SCALARS, _SEGMENTATIONS, _BOXES, _SCALARS, _SCALARS), max_size=4),
+    categories=st.lists(st.builds(CocoCategory, _SCALARS, _NAMES), max_size=3),
+)
+_RECORDS = st.lists(
+    st.builds(
+        DetectionRecord,
+        st.integers(0, 2**70),
+        _NAMES.filter(bool),
+        st.one_of(st.floats(0, 1), st.sampled_from([0, 1, True, False, 5e-324, -0.0])),
+        _SEGMENTATIONS,
+        _BOXES,
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DATASETS)
+@example(CocoDataset())
+@example(
+    CocoDataset(
+        images=[CocoImage(1, 'a"\\b.png', 4, 4, 0), CocoImage(2, "ünïcode ☃.png", 4, 4)],
+        annotations=[
+            CocoAnnotation(1, 1, 1, RleMask(1, 50, (0, 44, 6)), BoundingBox(0.0, 0.0, 44.0, 1.0), 44.0),  # counts 0\\16
+            CocoAnnotation(2, 2, 1, Polygon.from_xy([(1e16, 5e-324), (-0.0, 3), (2, 2)]), [], -0.0, True),
+        ],
+        categories=[CocoCategory(1, "\\")],
+    )
+)
+def test_write_coco_equals_json_dumps_oracle(ds):
+    assert write_coco(ds) == reference_write_coco(ds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS)
+@example([])
+@example([DetectionRecord(0, '"\\é', 1, RleMask(1, 50, (0, 44, 6)), BoundingBox(float("nan"), float("inf"), -0.0, 1e16))])
+def test_write_predictions_equals_json_dumps_oracle(records):
+    assert write_predictions(records) == reference_write_predictions(records)
+
+
+def test_written_counts_string_escapes_its_backslash():
+    mask = RleMask(1, 50, (0, 44, 6))  # the count 44 opens with the group 12 | 32, the character "\\"
+    ds = CocoDataset(
+        images=[CocoImage(1, "a.png", 1, 50)],
+        annotations=[CocoAnnotation(1, 1, 1, mask, mask.bbox, 44.0)],
+        categories=[CocoCategory(1, "a")],
+    )
+    assert b'"counts": "0\\\\16"' in write_coco(ds)
+    assert read_coco(write_coco(ds)).annotations[0].segmentation == mask
+    record = DetectionRecord(0, "a", 1.0, mask, mask.bbox)
+    assert b'"counts": "0\\\\16"' in write_predictions([record])
+    assert parse_predictions(write_predictions([record])) == [record]
 
 
 # ---------------------------------------------------------------------------

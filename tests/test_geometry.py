@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from segtrack.errors import (
     CorruptStringError,
     EmptySegmentationError,
     InvalidPolygonError,
+    OversizedPolygonError,
 )
 from segtrack.geometry import (
     _DECODE_CHUNK,
@@ -35,6 +37,7 @@ from segtrack.geometry import (
     rasterize,
     rle_decode_many,
     rle_decode_string,
+    rle_encode_many,
     rle_encode_string,
     rle_iou,
     rle_to_mask,
@@ -657,6 +660,26 @@ def test_rle_centroid_of_a_run_across_a_trillion_columns_is_one_step():
     assert proc.returncode == 0, proc.stderr
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_rle_masks(), max_size=8))
+@example([])
+@example([RleMask(1, 1, (1,)), RleMask(1, 1, (0, 1)), RleMask(2, 2, (0, 0, 0, 4)), RleMask(3, 1, (1, 0, 0, 2))])  # zero-length runs
+@example([RleMask(3, 3, (0, 9)), RleMask(4, 4, (0, 5, 11))])  # a leading one-run
+@example([RleMask(8, 16, (100, 28)), RleMask(1, 61, (50, 1, 10)), RleMask(1, 50, (0, 44, 6))])  # two groups, a sign pad, "\\"
+@example([RleMask(2, 3, (1, 5)), RleMask(1, 2**70, (0, 2**70)), RleMask(1, 1, (1,))])  # past int64: the one-mask encoder
+@example([RleMask(1, 2**63 - 1, (2**63 - 1,)), RleMask(1, 2**63, (0, 2**63))])  # the last mask int64 holds, and the first it does not
+@example([RleMask(2**31, 2**31, (2**62 - 5, 5)), RleMask(1, 2**62 + 2, (2**62, 1, 0, 1))])  # thirteen groups; a delta of -2**62
+def test_rle_encode_many_equals_one_at_a_time(masks):
+    assert rle_encode_many(masks) == [rle_encode_string(r) for r in masks]
+
+
+def test_rle_encode_many_crosses_chunks():
+    rng = np.random.default_rng(6)
+    masks = [mask_to_rle(rng.random((h, w)) < 0.3) for h, w in rng.integers(1, 24, size=(2 * _DECODE_CHUNK + 7, 2))]
+    masks[_DECODE_CHUNK - 1] = masks[_DECODE_CHUNK + 1] = RleMask(1, 2**70, (2**69, 2**69))
+    assert rle_encode_many(masks) == [rle_encode_string(r) for r in masks]
+
+
 # ---------------------------------------------------------------------------
 # multi-ring segmentations
 
@@ -750,6 +773,56 @@ def test_segmentation_iou_translation_window():
     # each polygon is filled over its own extent, never over the window that holds both
     far = Polygon.from_xy([(1e6, 1e6), (1e6 + 4, 1e6), (1e6 + 4, 1e6 + 4)])
     assert segmentation_iou(a, far) == segmentation_iou(far, a) == 0.0
+
+
+_OVERSIZED = (
+    "polygon with bbox [{}] is too large for an IoU, which fills at most 1,073,741,824 pixels of a polygon,"
+    " each within 4,611,686,018,427,387,904 of the origin"
+)
+
+
+@pytest.mark.parametrize(
+    "points,bbox",
+    [
+        ([(0, 0), (1e200, 0), (1e200, 1e200)], "0.0, 0.0, 1e+200, 1e+200"),
+        ([(-1e308, 0), (1e308, 0), (0, 3)], "-1e+308, 0.0, inf, 3.0"),  # a box too wide for a float
+        ([(0, 0), (32767, 0), (32767, 32767)], "0.0, 0.0, 32767.0, 32767.0"),  # 32769 x 32769 with the spare pixels
+        ([(2**64, 0), (2**64 + 2**13, 0), (2**64, 4)], "1.8446744073709552e+19, 0.0, 8192.0, 4.0"),  # past int64
+    ],
+    ids=["1e200", "inf-box", "past-the-cap", "far"],
+)
+def test_segmentation_iou_refuses_a_polygon_past_the_fill_cap(points, bbox):
+    big, small = Polygon.from_xy(points), Polygon.from_xy([(0, 0), (4, 0), (4, 4)])
+    for a, b, operand in ((big, small, 0), (small, big, 1)):
+        with pytest.raises(OversizedPolygonError) as info:
+            segmentation_iou(a, b)
+        assert (str(info.value), info.value.operand) == (_OVERSIZED.format(bbox), operand)
+    group = MultiPolygon([small, big])  # named by the box of all its rings
+    with pytest.raises(OversizedPolygonError, match=re.escape(_OVERSIZED.format(", ".join(map(repr, group.bbox))))):
+        segmentation_iou(small, group)
+
+
+def test_segmentation_iou_fills_a_huge_polygon_only_inside_a_mask_frame():
+    huge = Polygon.from_xy([(-1e12, -1e12), (1e12, -1e12), (0, 1e12)])  # covers the 8 x 8 frame
+    mask = mask_to_rle(rasterize(Polygon.from_xy([(0, 0), (4, 0), (4, 4)]), 8, 8))
+    assert segmentation_iou(huge, mask) == segmentation_iou(mask, huge) == 10 / 64
+    far = Polygon.from_xy([(1e200, 1e200), (2e200, 1e200), (1e200, 2e200)])
+    assert segmentation_iou(far, mask) == segmentation_iou(mask, far) == 0.0
+    # with a pixel to spare on each side, 32768 x 32768 pixels are the cap exactly, and nothing is refused
+    geometry._check_fill(Polygon.from_xy([(0, 0), (32766, 0), (32766, 32766)]), None, 0)
+
+
+def test_segmentation_iou_refuses_before_filling_a_frame_past_the_cap(monkeypatch):
+    frame = RleMask(2**16, 2**15, (0, 16, 2**31 - 16))  # rows 0..15 of column 0 set, in a frame of 2**31 pixels
+    corner = Polygon.from_xy([(-1e12, -1e12), (4, -1e12), (4, 4), (-1e12, 4)])  # 4 x 4 of its pixels in the frame
+    assert segmentation_iou(frame, corner) == segmentation_iou(corner, frame) == 4 / 28
+    far_corner = Polygon.from_xy([(2**15 - 4, 2**16 - 4), (1e12, 2**16 - 4), (1e12, 1e12), (2**15 - 4, 1e12)])
+    assert segmentation_iou(frame, far_corner) == 0.0  # its 4 x 4 pixels in the frame's last corner
+    monkeypatch.setattr(geometry, "_fill_rings", lambda *args: pytest.fail("filled a polygon past the cap"))
+    cover = Polygon.from_xy([(-1, -1), (2**16, -1), (2**16, 2**17)])  # 2**15 x 2**16 of its pixels in the frame
+    with pytest.raises(OversizedPolygonError) as info:
+        segmentation_iou(frame, cover)
+    assert info.value.operand == 1
 
 
 TRI_A = [(3.8, 0.3), (0.6, 1.3), (1.5, 2.5)]
