@@ -23,6 +23,7 @@ from .geometry import (
     rle_iou,
     rle_to_mask,
     segmentation_iou,
+    segmentation_ious,
     simplify_polygon,
 )
 from .formats import (

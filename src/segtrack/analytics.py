@@ -148,15 +148,24 @@ def interaction_events(
         if missing:
             raise MissingDataError(f"frames missing segmentation for mask IoU: {brief_list(missing)}")
 
+    frames = sorted(by_frame)
+    if criterion == "mask_iou":  # every pair of every frame in one call, in sweep order
+        segs, pairs = [], []
+        for f in frames:
+            k0, n = len(segs), len(by_frame[f])
+            segs += [seg for _, seg in by_frame[f]]
+            pairs += [(k0 + i, k0 + j) for i in range(n) for j in range(i + 1, n)]
+        ious = iter(geometry.segmentation_ious(segs, pairs).tolist())
+
     # [labels, start, end]; runs open in frame, then label-pair order, so they need no sort
     runs: list[list] = []
     last_run: dict[tuple[str, str], list] = {}
-    for frame in sorted(by_frame):
+    for frame in frames:
         present = by_frame[frame]
         for i, (la, va) in enumerate(present):
             for lb, vb in present[i + 1:]:
                 if criterion == "mask_iou":
-                    holds = geometry.segmentation_iou(va, vb) >= threshold
+                    holds = next(ious) >= threshold
                 else:
                     holds = va is not None and vb is not None and math.dist(va, vb) <= threshold
                 if not holds:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, formats, metrics, synth, tracking
-from .errors import OutOfRangeError, OversizedPolygonError, ParseError, SchemaError, SegtrackError
+from .errors import OutOfRangeError, OversizedPolygonError, ParseError, SchemaError, SegtrackError, SizeMismatchError
 from .metrics import MotConfig
 
 
@@ -143,6 +143,8 @@ def _cmd_eval_mot(args) -> None:
         report = metrics.evaluate_mot(gt_tracks, pred_tracks, cfg)
     except OversizedPolygonError as e:  # evaluate_mot takes each IoU as (ground truth, prediction)
         raise OutOfRangeError(f"{(args.gt, args.pred)[e.operand]}: {e}") from e
+    except SizeMismatchError as e:  # named by the prediction's frame and label
+        raise SizeMismatchError(f"{args.pred}: {e}") from e
     name = Path(args.pred).stem
     _emit(args.out, analytics.emit_report(report, format=args.format, name=name), args.force)
     if args.frame_log:
@@ -163,6 +165,8 @@ def _cmd_eval_coco(args) -> None:
         raise SchemaError(f"{args.pred}: {e}") from e
     except OversizedPolygonError as e:  # evaluate_coco_ap takes each IoU as (prediction, ground truth)
         raise OutOfRangeError(f"{(args.pred, args.gt)[e.operand]}: {e}") from e
+    except SizeMismatchError as e:
+        raise SizeMismatchError(f"{args.pred}: {e}") from e
     scaled = metrics.ApReport(
         rows=tuple(metrics.ApRow(r.name, *map(_percent, r.values())) for r in report.rows)
     )

@@ -67,6 +67,10 @@ class OversizedPolygonError(OutOfRangeError):
         self.operand = operand
 
 
+class SizeMismatchError(SegtrackError):
+    """Two masks compared in one IoU have frames of different sizes."""
+
+
 class UndefinedMetricError(SegtrackError):
     """Metric denominator is empty; the value is undefined."""
 

@@ -368,9 +368,9 @@ def split_dataset(ds: CocoDataset, ratio: float = 0.8, seed: int = 0) -> SplitRe
     """Seeded train/validation split of a COCO dataset.
 
     Images are shuffled deterministically and the first
-    ``ceil(ratio * N)`` go to the training part; annotations follow
-    their image, ids are re-densified per part, and both parts keep the
-    full category table.
+    ``min(ceil(ratio * N), N - 1)`` go to the training part, so neither
+    part is empty; annotations follow their image, ids are re-densified
+    per part, and both parts keep the full category table.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be inside (0, 1), got {ratio}")
@@ -379,7 +379,7 @@ def split_dataset(ds: CocoDataset, ratio: float = 0.8, seed: int = 0) -> SplitRe
         raise ValueError(f"need at least 2 images to split, got {n}")
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    n_train = math.ceil(ratio * n)
+    n_train = min(math.ceil(ratio * n), n - 1)  # ceil(0.8 * n) is n for n < 5
     train_pos = sorted(order[:n_train])
     val_pos = sorted(order[n_train:])
 

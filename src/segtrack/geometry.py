@@ -9,7 +9,8 @@ order and always start with the length of the leading zero run
 (possibly 0).  A segmentation is a :class:`Polygon`, a
 :class:`MultiPolygon` or an :class:`RleMask`; each derives its ``area``,
 ``bbox`` and ``centroid`` on first use and keeps them, ring values from
-the vertices.  Only :func:`segmentation_iou` branches on the form.
+the vertices.  Only the IoU kernel, :func:`segmentation_ious`, branches
+on the form.
 
 Rasterization uses the even-odd rule tested at pixel centers with a
 half-open boundary convention: a center lying exactly on a left/top
@@ -18,14 +19,18 @@ never claim the same pixel twice.  A ring is first cut into per-row
 fill spans in frame pixel indices, clipped to an integer window (the
 frame, for :func:`rasterize`); the spans are then filled into a grid.
 
-Every IoU with a polygon is computed inside one integer window: the
-mask's frame, or a window holding both polygons.  Spans stay in frame
-pixel indices, each polygon is filled over its own extent, a mask
-decodes only the columns needed, and no vertex is ever shifted.  So
-polygon pixels outside a mask's frame do not count, and the result
-equals a comparison of the two full-frame renderings exactly.  A polygon
-that could fill more than ``_MAX_FILL`` pixels is refused before any
-grid is built.
+:func:`segmentation_ious` computes many IoUs in chunked numpy passes.
+It takes each mask's one-runs once, from its counts, and each polygon's
+fill spans once, in the mask's frame or in its own fill box against a
+polygon, with :func:`_ring_spans`'s own arithmetic and no vertex
+shifted.  Per pair it counts, in exact ints, the pixels both operands
+cover where their extents meet; a pair whose extents do not meet reads
+0.0 without a fill.  So polygon pixels outside a mask's frame do not
+count, and every value equals a comparison of the two full-frame
+renderings exactly.  Masks of two sizes, and a polygon that could fill
+more than ``_MAX_FILL`` pixels, are refused before anything is filled.
+:func:`segmentation_iou` is its one-pair call; :func:`rle_iou` is the
+scalar mask/mask sweep.
 
 All functions are pure; nothing here holds global state, so every
 operation is safe to call from concurrent threads.
@@ -48,6 +53,8 @@ from .errors import (
     EmptySegmentationError,
     InvalidPolygonError,
     OversizedPolygonError,
+    SegtrackError,
+    SizeMismatchError,
 )
 
 
@@ -919,30 +926,27 @@ def _rle_columns(r: RleMask, c_lo: int, c_hi: int) -> np.ndarray:
     return flat.reshape((r.height, c_hi - c_lo), order="F")
 
 
-def _fill_rings(rings: Iterable[Polygon], top: int, left: int, height: int, width: int) -> tuple[int, int, np.ndarray]:
-    """``(top, left, grid)``: the union of ``rings``' pixels in the window, filled over their own extent."""
-    rows, c0, c1 = _union_spans(rings, top, left, height, width)
-    if not rows.size:
-        return top, left, np.zeros((0, 0), dtype=bool)
-    top, left = int(rows.min()), int(c0.min())
-    return top, left, _fill_spans(rows - top, c0 - left, c1 - left, int(rows.max()) + 1 - top, int(c1.max()) + 1 - left)
-
-
 _MAX_FILL = 2**30  # pixels one polygon may fill in an IoU: a GiB for each grid of that size
 _MAX_INDEX = 2**62  # and all of them this close to the origin, so no pixel index overflows int64
+
+
+def _fill_box(p: Polygon | MultiPolygon) -> tuple[int, int, int, int]:
+    """``(top, left, bottom, right)``: the pixels ``p`` could fill, its vertex bounds with a pixel to spare on each side."""
+    bounds = [r._bounds for r in p.rings]
+    top, left = math.ceil(min(b[1] for b in bounds) - 0.5) - 1, math.ceil(min(b[0] for b in bounds) - 0.5) - 1
+    bottom, right = math.ceil(max(b[3] for b in bounds) - 0.5) + 1, math.ceil(max(b[2] for b in bounds) - 0.5) + 1
+    return top, left, bottom, right
 
 
 def _check_fill(p: Polygon | MultiPolygon, frame: tuple[int, int, int, int] | None, operand: int) -> None:
     """Refuse ``p`` in an IoU when it could fill more than ``_MAX_FILL`` pixels inside ``frame``, or anywhere.
 
-    The pixels it could fill are its vertex bounds with a pixel to spare
-    on each side, cut to the frame ``(top, left, height, width)``, counted
-    in exact ints.  Too many of them, or one past ``_MAX_INDEX``, raises
-    :class:`OversizedPolygonError` naming the IoU argument ``operand``.
+    The pixels it could fill are its :func:`_fill_box`, cut to the frame
+    ``(top, left, height, width)``, counted in exact ints.  Too many of
+    them, or one past ``_MAX_INDEX``, raises :class:`OversizedPolygonError`
+    naming the IoU argument ``operand``.
     """
-    bounds = [r._bounds for r in p.rings]
-    top, left = math.ceil(min(b[1] for b in bounds) - 0.5) - 1, math.ceil(min(b[0] for b in bounds) - 0.5) - 1
-    bottom, right = math.ceil(max(b[3] for b in bounds) - 0.5) + 1, math.ceil(max(b[2] for b in bounds) - 0.5) + 1
+    top, left, bottom, right = _fill_box(p)
     if frame is not None:
         top, left = max(top, frame[0]), max(left, frame[1])
         bottom, right = min(bottom, frame[0] + frame[2]), min(right, frame[1] + frame[3])
@@ -956,42 +960,425 @@ def _check_fill(p: Polygon | MultiPolygon, frame: tuple[int, int, int, int] | No
         )
 
 
-def segmentation_iou(a: Segmentation, b: Segmentation) -> float:
-    """Pixel-exact IoU between any two segmentation forms.
+def _refusal(a: Segmentation, b: Segmentation) -> SegtrackError | None:
+    """What an IoU of ``a`` and ``b`` refuses before anything is filled: two mask sizes, or a polygon past the fill cap."""
+    a_mask, b_mask = isinstance(a, RleMask), isinstance(b, RleMask)
+    if a_mask and b_mask:
+        if (a.height, a.width) == (b.height, b.width):
+            return None
+        return SizeMismatchError(f"dimension mismatch: {a.height}x{a.width} vs {b.height}x{b.width}")
+    try:
+        if a_mask or b_mask:  # a smaller frame holds every pixel a polygon may fill
+            poly, mask, operand = (b, a, 1) if a_mask else (a, b, 0)
+            if mask.height * mask.width > _MAX_FILL:
+                _check_fill(poly, (0, 0, mask.height, mask.width), operand)
+        else:  # so both fill boxes are finite, and every window index fits int64
+            _check_fill(a, None, 0)
+            _check_fill(b, None, 1)
+    except OversizedPolygonError as e:
+        return e
+    return None
 
-    Two masks are compared run against run.  Any pair with a polygon is
-    compared inside one integer window, the mask's frame or one holding
-    both polygons: each polygon is filled over its own pixels' extent, a
-    mask decodes only the columns needed, and the intersection is counted
-    where the extents overlap.  Polygon pixels outside a mask's frame do
-    not count, and the result equals the IoU of the two :func:`rasterize`
+
+_IOU_CHUNK = 1024  # pairs (or rings) per numpy pass
+_IOU_BUDGET = 2**14  # values one pass may hold in an array: runs, spans, a polygon's pixels against a mask, crossings
+_MASK_BOUND = 2**52  # a mask of fewer pixels keeps every key of a pass of _IOU_CHUNK windows in int64, and every area exact in float64
+
+
+def _chunks(costs: Sequence[int], budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` ranges of at most ``_IOU_CHUNK`` items whose costs sum to at most ``budget``.
+
+    An item that costs more than ``budget`` takes a range of its own.
+    """
+    total = [0, *itertools.accumulate(costs)]  # exact ints: total[k] is the cost of items 0..k-1
+    lo, n = 0, len(costs)
+    while lo < n:
+        hi = max(lo + 1, min(bisect.bisect_right(total, total[lo] + budget) - 1, lo + _IOU_CHUNK))
+        yield lo, hi
+        lo = hi
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray, steps: np.ndarray | int = 1) -> np.ndarray:
+    """``starts[k] + steps[k] * j`` for every ``0 <= j < lengths[k]``, range after range."""
+    ends = np.cumsum(lengths)
+    out = np.arange(int(ends[-1]) if len(ends) else 0)
+    out -= np.repeat(ends - lengths, lengths)  # j
+    out *= np.repeat(steps, lengths) if np.ndim(steps) else steps
+    out += np.repeat(starts, lengths)
+    return out
+
+
+_ROW_LIMIT = 3.0 * 2**61  # past every window row, and exact in both float64 and int64
+
+
+def _spans_many(rings: Sequence[Polygon], windows: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarray, ...]:
+    """``(rows, c0, c1, ring)``: ``_ring_spans(rings[k], *windows[k])`` for every ring ``k``, concatenated in ring order.
+
+    Rings with the same vertex count, and close row counts, share numpy
+    passes over chunks of at most ``_IOU_BUDGET`` crossing slots.  Each
+    crossing is :func:`_ring_spans`'s own float expression, and each row
+    center its ``arange`` value, so every span is the same.  Every window
+    row must lie within 2^62 of the origin.
+    """
+    by_size: dict[int, list[int]] = {}
+    for k, ring in enumerate(rings):
+        by_size.setdefault(len(ring.points), []).append(k)
+    windows = np.array(windows, dtype=np.int64).reshape(-1, 4)
+    parts = [[np.empty(0, dtype=np.int64)] for _ in range(4)]  # rows, c0, c1 and ring, chunk by chunk
+    for n_edges, members in by_size.items():
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rings[k].points for k in members))
+        pts = np.fromiter(flat, np.float64, 2 * n_edges * len(members)).reshape(len(members), n_edges, 2)
+        win = windows[members]
+        # _ring_spans's rows, max(top, ceil(y_min - 0.5)) .. min(bottom, ceil(y_max - 0.5) - 1), in exact ints
+        y_min, y_max = (np.clip(np.ceil(y - 0.5), -_ROW_LIMIT, _ROW_LIMIT).astype(np.int64) for y in (pts[..., 1].min(axis=1), pts[..., 1].max(axis=1)))
+        first = np.maximum(win[:, 0], y_min)
+        count = np.maximum(np.minimum(win[:, 0] + win[:, 2] - 1, y_max - 1) + 1 - first, 0)
+        by_count = np.argsort(count, kind="stable")  # so a pass pads few rows
+        members, pts, win, first, count = np.asarray(members)[by_count], pts[by_count], win[by_count], first[by_count], count[by_count]
+        for lo, hi in _chunks((count * n_edges).tolist(), _IOU_BUDGET):
+            x1, y1 = pts[lo:hi, None, :, 0], pts[lo:hi, None, :, 1]  # (ring, 1, edge)
+            nxt = np.roll(pts[lo:hi], -1, axis=1)
+            x2, y2 = nxt[:, None, :, 0], nxt[:, None, :, 1]
+            n, r0 = count[lo:hi], first[lo:hi]
+            i = np.arange(int(n.max()))  # row i of each ring, past its count on some
+            # np.arange(r0, r1 + 1, dtype=float64) holds r0 + i * delta, with delta = float(r0 + 1) - float(r0)
+            start = r0.astype(np.float64)[:, None]
+            ys = (start + i * ((r0 + 1).astype(np.float64)[:, None] - start) + 0.5)[..., None]  # (ring, row, 1)
+            sel = (np.minimum(y1, y2) <= ys) & (ys < np.maximum(y1, y2)) & (i < n[:, None])[..., None]
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                xs = ys - y1  # x1 + (ys - y1) * (x2 - x1) / (y2 - y1), one operation at a time
+                xs *= x2 - x1
+                xs /= y2 - y1
+                xs += x1
+            xs[~sel] = np.nan
+            xs = xs.reshape(-1, n_edges)
+            xs.sort(axis=1)
+            n_pairs = n_edges // 2
+            xa = xs[:, 0:2 * n_pairs:2]
+            xb = xs[:, 1:2 * n_pairs:2]
+            valid = ~np.isnan(xb)
+            ring, row = np.divmod(np.nonzero(valid)[0], len(i))
+            left = win[lo:hi, 1][ring]
+            right = left + win[lo:hi, 3][ring]
+            xa = np.minimum(np.maximum(xa[valid], left - 1.0), right + 1.0)
+            xb = np.minimum(np.maximum(xb[valid], left - 1.0), right + 1.0)
+            c0 = np.maximum(np.ceil(xa - 0.5).astype(np.int64), left)
+            c1 = np.minimum(np.ceil(xb - 0.5).astype(np.int64) - 1, right - 1)
+            ok = c0 <= c1
+            for column, values in zip(parts, ((r0[ring] + row)[ok], c0[ok], c1[ok], members[lo:hi][ring[ok]])):
+                column.append(values)
+    order = np.argsort(np.concatenate(parts[3]), kind="stable")
+    out = []
+    for column in parts:  # one column at a time, its chunks freed as it is copied
+        out.append(np.concatenate(column)[order])
+        column.clear()
+    return tuple(out)
+
+
+def _grid_runs(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, c0, c1)``: the runs of set cells in each row of ``grid``, row by row, ``c1`` inclusive."""
+    edges = np.diff(np.pad(grid, ((0, 0), (1, 1))).astype(np.int8), axis=1)  # +1 at a run's first cell, -1 past its last
+    rows, cols = np.nonzero(edges)
+    return rows[0::2], cols[0::2], cols[1::2] - 1
+
+
+class _Operands:
+    """Every distinct operand of a batch of IoUs once: masks as one-runs, polygons as fill spans in a window.
+
+    Operand ``k < n_masks`` is a mask, the rest are fills.  Each has the
+    inclusive pixel extent ``top..bottom``, ``left..right`` (empty when
+    ``bottom < top``), its pixel count ``area`` and ``count`` runs or
+    spans from ``offset``.  The runs of a
+    mask and the spans of a fill are disjoint and ascend, row by row for
+    spans.
+    """
+
+    def __init__(self, masks: Sequence[RleMask], heights: np.ndarray, fills: Sequence[tuple[Segmentation, tuple[int, int, int, int]]]):
+        self.n_masks = len(masks)
+        n = len(masks) + len(fills)
+        self.top, self.left = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        self.bottom, self.right = np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64)
+        self.area, self.count = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        self.offset = np.zeros(n, dtype=np.int64)
+
+        # one-runs from the counts: one-run k of a mask ends at the sum of its first 2k + 2 counts
+        # (the sums run on across masks and may wrap, but each mask's differences are exact)
+        counts_of = [r.counts for r in masks]
+        lengths = np.fromiter(map(len, counts_of), np.int64, len(masks))
+        counts = np.fromiter(itertools.chain.from_iterable(counts_of), np.int64, int(lengths.sum()))
+        sums = np.cumsum(counts)
+        head = np.cumsum(lengths) - lengths  # of each mask's counts
+        n_runs = lengths // 2
+        end_at = _ranges(head + 1, n_runs, 2)
+        before = np.repeat(sums[head] - counts[head], n_runs) if len(head) else head
+        del counts
+        start, end = sums[end_at - 1], sums[end_at]
+        del sums, end_at
+        start -= before
+        end -= before
+        del before
+        keep = start < end  # zero-length runs take no part
+        self.run_start, self.run_end = start[keep], end[keep]
+        del start, end
+        self.height = heights
+        # a mask's extent: the columns of its first and last runs, and the rows of all of them
+        # (a run past the end of its column takes every row)
+        run_mask = np.repeat(np.arange(len(masks)), n_runs)[keep]
+        self.count[:len(masks)] = np.bincount(run_mask, minlength=len(masks))
+        self.offset[:len(masks)] = np.cumsum(self.count[:len(masks)]) - self.count[:len(masks)]
+        has = np.flatnonzero(self.count[:len(masks)])
+        first, last = self.offset[has], self.offset[has] + self.count[has] - 1
+        if has.size:
+            h = heights[run_mask]
+            row, length = self.run_start % h, self.run_end - self.run_start
+            one_column = row + length <= h
+            self.top[has] = np.minimum.reduceat(np.where(one_column, row, 0), first)
+            self.bottom[has] = np.maximum.reduceat(np.where(one_column, row + length, h) - 1, first)
+            self.left[has], self.right[has] = self.run_start[first] // heights[has], (self.run_end[last] - 1) // heights[has]
+            self.area[has] = np.add.reduceat(length, first)
+
+        # fill spans, each ring in its operand's window; the rings of one instance may overlap,
+        # so theirs are taken again from the union of their pixels
+        rings = [ring for seg, _ in fills for ring in seg.rings]
+        owner = np.repeat(np.arange(len(fills)), [len(seg.rings) for seg, _ in fills])
+        rows, c0, c1, ring = _spans_many(rings, [window for seg, window in fills for _ in seg.rings])
+        fill = owner[ring]
+        groups = [f for f, (seg, _) in enumerate(fills) if len(seg.rings) > 1]
+        if groups:
+            parts, in_group = [(rows, c0, c1, fill)], np.isin(fill, groups)
+            parts[0] = tuple(v[~in_group] for v in parts[0])
+            for f in groups:
+                at = fill == f
+                if at.any():
+                    t, l = int(rows[at].min()), int(c0[at].min())
+                    grid = _fill_spans(rows[at] - t, c0[at] - l, c1[at] - l, int(rows[at].max()) + 1 - t, int(c1[at].max()) + 1 - l)
+                    r, a, b = _grid_runs(grid)
+                    parts.append((r + t, a + l, b + l, np.full(len(r), f)))
+            rows, c0, c1, fill = (np.concatenate(v) for v in zip(*parts))
+            order = np.argsort(fill, kind="stable")
+            rows, c0, c1, fill = rows[order], c0[order], c1[order], fill[order]
+        self.span_row, self.span_c0, self.span_c1 = rows, c0, c1
+        ids = np.arange(len(masks), n)
+        self.count[ids] = np.bincount(fill, minlength=len(fills))
+        self.offset[ids] = np.cumsum(self.count[ids]) - self.count[ids]
+        has = ids[self.count[ids] > 0]
+        if has.size:
+            at = self.offset[has]
+            self.top[has], self.bottom[has] = np.minimum.reduceat(rows, at), np.maximum.reduceat(rows, at)
+            self.left[has], self.right[has] = np.minimum.reduceat(c0, at), np.maximum.reduceat(c1, at)
+            self.area[has] = np.add.reduceat(c1 - c0 + 1, at)
+
+    def intervals(self, ops: np.ndarray, top, left, height, width, base, by_column) -> tuple[np.ndarray, ...]:
+        """``(start, end, pair)``: operand ``ops[p]``'s pixels in window ``p`` as half-open key intervals, by pair.
+
+        Window ``p`` holds keys ``base[p]`` onwards, column-major where
+        ``by_column[p]`` and row-major elsewhere.  A mask's runs, cut to
+        the window, give one interval per column; a fill's spans give one
+        interval each row-major, and one per pixel column-major.  Each
+        operand's intervals are disjoint and ascend, except the per-pixel ones.
+        """
+        parts = [(np.empty(0, dtype=np.int64),) * 3]
+        p = np.flatnonzero(ops >= self.n_masks)
+        if p.size:
+            parts += self._span_intervals(p, ops, top, left, height, width, base, by_column)
+        p = np.flatnonzero(ops < self.n_masks)
+        if p.size:
+            parts.append(self._run_intervals(p, ops, top, left, height, width, base))
+        start, end, pair = (np.concatenate(v) for v in zip(*parts))
+        order = np.argsort(pair, kind="stable")
+        return start[order], end[order], pair[order]
+
+    def _span_intervals(self, p, ops, top, left, height, width, base, by_column) -> list[tuple[np.ndarray, ...]]:
+        """Spans cut to the windows: one interval each row-major, one per pixel column-major."""
+        at = _ranges(self.offset[ops[p]], self.count[ops[p]])
+        p = np.repeat(p, self.count[ops[p]])
+        r = self.span_row[at]
+        c0 = np.maximum(self.span_c0[at], left[p])
+        c1 = np.minimum(self.span_c1[at], left[p] + width[p] - 1)
+        ok = (top[p] <= r) & (r < top[p] + height[p]) & (c0 <= c1)
+        p, r, c0, c1 = p[ok], r[ok], c0[ok], c1[ok]
+        n, col = c1 - c0 + 1, by_column[p]
+        row_start = (base[p] + (r - top[p]) * width[p] + c0 - left[p])[~col]
+        pixel = _ranges((base[p] + (c0 - left[p]) * height[p] + r - top[p])[col], n[col], height[p][col])
+        return [(row_start, row_start + n[~col], p[~col]), (pixel, pixel + 1, np.repeat(p[col], n[col]))]
+
+    def _run_intervals(self, p, ops, top, left, height, width, base) -> tuple[np.ndarray, ...]:
+        """Runs cut to the windows' columns, split by column and cut to their rows: one interval per column."""
+        at = _ranges(self.offset[ops[p]], self.count[ops[p]])
+        p = np.repeat(p, self.count[ops[p]])
+        h = self.height[ops[p]]
+        s = np.maximum(self.run_start[at], left[p] * h)
+        e = np.minimum(self.run_end[at], (left[p] + width[p]) * h)
+        ok = s < e
+        p, h, s, e = p[ok], h[ok], s[ok], e[ok]
+        pieces = (e - 1) // h - s // h + 1
+        col = _ranges(s // h, pieces)
+        p, h, s, e = (np.repeat(v, pieces) for v in (p, h, s, e))
+        r0 = np.maximum(s - col * h, top[p])
+        r1 = np.minimum(e - col * h, np.minimum(h, top[p] + height[p]))
+        ok = r0 < r1
+        p, col, r0, r1 = p[ok], col[ok], r0[ok], r1[ok]
+        start = base[p] + (col - left[p]) * height[p] + r0 - top[p]
+        return start, start + (r1 - r0), p
+
+
+def _spans_mask(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray, height: int, width: int) -> RleMask:
+    """The ``(height, width)`` mask whose set pixels are those of the spans, its counts in exact ints."""
+    bounds = [0]
+    if rows.size:
+        top, left = int(rows.min()), int(c0.min())
+        grid = _fill_spans(rows - top, c0 - left, c1 - left, int(rows.max()) + 1 - top, int(c1.max()) + 1 - left)
+        col, r0, r1 = _grid_runs(grid.T)  # column by column, rows ascending
+        for c, a, b in zip(col.tolist(), r0.tolist(), r1.tolist()):
+            bounds += [(left + c) * height + top + a, (left + c) * height + top + b + 1]
+    bounds.append(height * width)
+    return RleMask(height, width, tuple(b - a for a, b in zip(bounds, bounds[1:])))
+
+
+def _scalar_iou(a: Segmentation, b: Segmentation) -> float:
+    """The IoU of a pair with a mask of ``_MASK_BOUND`` pixels or more, through :func:`rle_iou`."""
+    if isinstance(a, RleMask) and isinstance(b, RleMask):
+        return rle_iou(a, b)
+    poly, mask = (b, a) if isinstance(a, RleMask) else (a, b)
+    top, left, bottom, right = _fill_box(poly)  # checked: the frame is over _MAX_FILL, so the box fits int64
+    top, left = max(top, 0), max(left, 0)
+    window = (top, left, max(min(bottom, mask.height) - top, 0), max(min(right, mask.width) - left, 0))
+    spans = _union_spans(poly.rings, *window) if window[2] and window[3] else (np.empty(0, dtype=np.int64),) * 3
+    return rle_iou(_spans_mask(*spans, mask.height, mask.width), mask)
+
+
+def segmentation_ious(
+    segs: Sequence[Segmentation],
+    pairs: np.ndarray | Sequence[tuple[int, int]],
+    refused: dict[int, SegtrackError] | None = None,
+) -> np.ndarray:
+    """The exact IoU of each pair ``(i, j)`` of ``segs[i]`` and ``segs[j]``, in a few numpy passes.
+
+    Value ``k`` is :func:`segmentation_iou` of pair ``k``.  Each mask's
+    one-runs are taken once, from its counts, and each polygon's fill
+    spans once per window: the frame of the masks it meets, or its own
+    fill box against polygons.  Per pair, the part of one operand's pixel
+    intervals that the other's cover is counted inside the window where
+    their extents meet, in chunks of at most ``_IOU_CHUNK`` pairs and
+    ``_IOU_BUDGET`` runs, spans and pixels.  A pair whose extents do not
+    meet reads 0.0 without a fill.  Each value is ``inter / union`` of
+    ints under 2^53, so it is the one Python's ``int / int`` gives.  A
+    pair with a mask of ``_MASK_BOUND`` pixels or more goes through
+    :func:`rle_iou`.
+
+    What an IoU refuses (masks of two sizes, :class:`SizeMismatchError`;
+    a polygon past the fill cap, :class:`OversizedPolygonError`) is found
+    before anything is filled: the first refused pair in order raises.
+    With a ``refused`` dict, each refused pair's error is stored under its
+    index instead and the pair reads NaN, so a caller that reads pairs in
+    its own order can raise the refusal it meets first.
+    """
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    n = len(pairs)
+    out = np.full(n, np.nan)
+    sa, sb = pairs[:, 0], pairs[:, 1]
+    frames: dict[tuple[int, int], int] = {}  # (height, width) of the masks -> frame id; a polygon's is -1
+    frame = np.fromiter(
+        (frames.setdefault((s.height, s.width), len(frames)) if isinstance(s, RleMask) else -1 for s in segs), np.intp, len(segs)
+    )
+    is_mask = frame >= 0
+    sizes = list(frames)
+    large = np.array([h * w > _MAX_FILL for h, w in sizes] + [False])[frame]  # frame -1 reads the last
+    huge = np.array([h * w >= _MASK_BOUND for h, w in sizes] + [False])[frame]
+
+    # refusals first, in pair order; only these pairs can be refused
+    polys = ~is_mask[sa] & ~is_mask[sb]
+    oversized = np.zeros(len(segs), dtype=bool)
+    in_poly_pair = np.zeros(len(segs), dtype=bool)
+    in_poly_pair[sa[polys]] = in_poly_pair[sb[polys]] = True
+    for s in np.flatnonzero(in_poly_pair).tolist():
+        try:
+            _check_fill(segs[s], None, 0)
+        except OversizedPolygonError:
+            oversized[s] = True
+    suspect = (is_mask[sa] & is_mask[sb] & (frame[sa] != frame[sb])) | ((is_mask[sa] != is_mask[sb]) & (large[sa] | large[sb]))
+    suspect |= polys & (oversized[sa] | oversized[sb])
+    live = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(suspect).tolist():
+        error = _refusal(segs[sa[i]], segs[sb[i]])
+        if error is not None:
+            if refused is None:
+                raise error
+            refused[i] = error
+            live[i] = False
+
+    for i in np.flatnonzero(live & (huge[sa] | huge[sb])).tolist():
+        out[i] = _scalar_iou(segs[sa[i]], segs[sb[i]])
+    live &= ~(huge[sa] | huge[sb])
+
+    # operands: each mask once, each polygon once per window, the frame id of
+    # the mask it meets or -1 for its own fill box; a pair's mask, if any, comes second
+    used = np.zeros(len(segs), dtype=bool)
+    used[sa[live]] = used[sb[live]] = True
+    mask_slots = np.flatnonzero(used & is_mask)
+    op_of = np.full(len(segs), -1)
+    op_of[mask_slots] = np.arange(len(mask_slots))
+    swap = is_mask[sa] & ~is_mask[sb]
+    first, second = np.where(swap, sb, sa), np.where(swap, sa, sb)
+    op = np.stack((op_of[first], op_of[second]), axis=1)
+    window_of = np.where(is_mask[second], frame[second], -1)
+    code = first * (len(frames) + 1) + window_of + 1
+    fill_a, fill_b = live & ~is_mask[first], live & ~is_mask[second]
+    codes, fill = np.unique(np.concatenate((code[fill_a], second[fill_b] * (len(frames) + 1))), return_inverse=True)
+    op[fill_a, 0] = len(mask_slots) + fill[:int(fill_a.sum())]
+    op[fill_b, 1] = len(mask_slots) + fill[int(fill_a.sum()):]
+    fills = []
+    for s, key in zip(*np.divmod(codes, len(frames) + 1)):
+        if key:
+            fills.append((segs[s], (0, 0, *sizes[key - 1])))
+        else:
+            top, left, bottom, right = _fill_box(segs[s])
+            fills.append((segs[s], (top, left, bottom - top, right - left)))
+    heights = np.array([h if h * w < _MASK_BOUND else 0 for h, w in sizes] + [0], dtype=np.int64)[frame[mask_slots]]
+    table = _Operands([segs[s] for s in mask_slots.tolist()], heights, fills)
+
+    # one window per pair where the operands' extents meet; a pair's intersection is
+    # the part of its first operand's intervals that its second operand's cover
+    idx = np.flatnonzero(live)
+    a, b = op[idx, 0], op[idx, 1]
+    top = np.maximum(table.top[a], table.top[b])
+    left = np.maximum(table.left[a], table.left[b])
+    height = np.minimum(table.bottom[a], table.bottom[b]) + 1 - top
+    width = np.minimum(table.right[a], table.right[b]) + 1 - left
+    inter = np.zeros(len(idx), dtype=np.int64)
+    meet = np.flatnonzero((height > 0) & (width > 0))
+    by_pixel = (a >= table.n_masks) & (b < table.n_masks)  # a fill against a mask, one interval per pixel
+    costs = (table.count[a] + table.count[b] + np.where(by_pixel, np.minimum(table.area[a], height * width), 0))[meet]
+    for lo, hi in _chunks(costs.tolist(), _IOU_BUDGET):
+        p = meet[lo:hi]
+        t, l, h, w, by_column = top[p], left[p], height[p], width[p], b[p] < table.n_masks
+        size = h * w
+        base = np.cumsum(size) - size
+        start, end, pair = table.intervals(a[p], t, l, h, w, base, by_column)
+        cover_start, cover_end, _ = table.intervals(b[p], t, l, h, w, base, by_column)
+        covered = np.concatenate(([0], np.cumsum(cover_end - cover_start)))
+        cover_start = np.append(cover_start, np.iinfo(np.int64).max)
+
+        def cover(x: np.ndarray) -> np.ndarray:  # pixels of the covering intervals before key x
+            j = np.searchsorted(cover_end, x, side="right")
+            return covered[j] + np.maximum(x - cover_start[j], 0)
+
+        summed = np.concatenate(([0], np.cumsum(cover(end) - cover(start))))
+        inter[p] = np.diff(summed[np.searchsorted(pair, np.arange(hi - lo + 1))])
+    union = table.area[a] + table.area[b] - inter
+    out[idx] = np.divide(inter, union, out=np.zeros(len(idx)), where=union > 0)
+    return out
+
+
+def segmentation_iou(a: Segmentation, b: Segmentation) -> float:
+    """Pixel-exact IoU between any two segmentation forms: the one-pair call of :func:`segmentation_ious`.
+
+    The comparison window of a pair with a mask is the mask's frame, so
+    polygon pixels outside it do not count; two polygons compare over the
+    whole plane.  The result equals the IoU of the two :func:`rasterize`
     renderings exactly.  A polygon that could fill more than ``_MAX_FILL``
     pixels (in the mask's frame, or anywhere against a polygon) raises
-    :class:`OversizedPolygonError` before anything is filled.
+    :class:`OversizedPolygonError`, and two masks of different sizes
+    :class:`SizeMismatchError`, before anything is filled.
     """
-    operands = (0, 1)
-    if isinstance(a, RleMask):
-        if isinstance(b, RleMask):
-            return rle_iou(a, b)
-        a, b, operands = b, a, (1, 0)  # the IoU is symmetric; ``a`` is a polygon from here on
-    if isinstance(b, RleMask):
-        window = (0, 0, b.height, b.width)
-        if b.height * b.width > _MAX_FILL:  # a smaller frame holds every pixel a polygon may fill
-            _check_fill(a, window, operands[0])
-    else:  # a window that holds both polygons, with a pixel to spare on each side
-        _check_fill(a, None, operands[0])
-        _check_fill(b, None, operands[1])  # so both boxes are finite, and the window's indices fit int64
-        (xa, ya, wa, ha), (xb, yb, wb, hb) = a.bbox, b.bbox
-        top, left = math.floor(min(ya, yb)) - 1, math.floor(min(xa, xb)) - 1
-        window = (top, left, math.ceil(max(ya + ha, yb + hb)) + 1 - top, math.ceil(max(xa + wa, xb + wb)) + 1 - left)
-    top, left, grid = _fill_rings(a.rings, *window)
-    h, w = grid.shape
-    if isinstance(b, RleMask):
-        other, other_area = _rle_columns(b, left, left + w)[top:top + h], b.area
-    else:  # b's pixels over a's extent, and all of b's pixels for the union
-        rows, c0, c1 = _union_spans(b.rings, top, left, h, w)
-        other = _fill_spans(rows - top, c0 - left, c1 - left, h, w)
-        other_area = int(np.count_nonzero(_fill_rings(b.rings, *window)[2]))
-    inter = int(np.count_nonzero(grid & other))
-    union = int(np.count_nonzero(grid)) + other_area - inter
-    return inter / union if union else 0.0
+    return float(segmentation_ious([a, b], [(0, 1)])[0])

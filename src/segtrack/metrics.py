@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import geometry
-from .errors import SchemaError, UndefinedMetricError, brief_list
+from .errors import SchemaError, SegtrackError, SizeMismatchError, UndefinedMetricError, brief_list
 from .formats import CocoDataset, image_frame_map
 from .geometry import Segmentation
 from .tracking import DetectionRecord, Track
@@ -285,23 +285,51 @@ def match_frame(
     the threshold (sticky rule); the remainder is assigned by minimum
     total (1 - IoU) cost, discarding below-threshold pairs.  A matched
     ground-truth object whose prediction label differs from its most
-    recent matched label counts as an identity switch.
+    recent matched label counts as an identity switch.  The frame's G×P
+    IoU matrix comes from one :func:`geometry.segmentation_ious` call.
     """
-    cfg = cfg or MotConfig()
+    refused: dict[int, SegtrackError] = {}
+    segs = [g for _, g in gt] + [p for _, p in preds]
+    pairs = [(gi, len(gt) + pj) for gi in range(len(gt)) for pj in range(len(preds))]
+    ious = geometry.segmentation_ious(segs, pairs, refused).tolist()
+    return _match_frame(gt, preds, _iou_reader(gt, preds, ious, refused, 0, frame), prev, cfg or MotConfig(), frame)
+
+
+def _size_mismatch(frame: int, label: str, pred: Segmentation, gt: Segmentation) -> SizeMismatchError:
+    return SizeMismatchError(
+        f"frame {frame}, label {label!r}: mask size {pred.height}x{pred.width}"
+        f" differs from the ground truth's {gt.height}x{gt.width}"
+    )
+
+
+def _iou_reader(gt, preds, ious: list[float], refused: Mapping[int, SegtrackError], offset: int, frame: int):
+    """``iou(gi, pj)``: value ``offset + gi * len(preds) + pj`` of ``ious``.
+
+    A refused pair raises its refusal where it is read, as its own IoU
+    call would have; masks of two sizes are named by frame and label.
+    """
+    n = len(preds)
+
+    def iou(gi: int, pj: int) -> float:
+        k = offset + gi * n + pj
+        if k in refused:
+            error = refused[k]
+            if isinstance(error, SizeMismatchError):
+                error = _size_mismatch(frame, preds[pj][0], preds[pj][1], gt[gi][1])
+            raise error
+        return ious[k]
+
+    return iou
+
+
+def _match_frame(gt, preds, iou: Callable[[int, int], float], prev: Mapping[str, str], cfg: MotConfig, frame: int) -> MotFrameLog:
+    """:func:`match_frame` reading each pair's IoU from ``iou(gi, pj)``."""
     gt_ids = [g[0] for g in gt]
     if len(set(gt_ids)) != len(gt_ids):
         raise ValueError(f"duplicate ground-truth ids in frame {frame}")
     pred_index = {label: j for j, (label, _) in enumerate(preds)}
     if len(pred_index) != len(preds):
         raise ValueError(f"duplicate prediction labels in frame {frame}")
-
-    cache: dict[tuple[int, int], float] = {}
-
-    def iou(gi: int, pj: int) -> float:
-        key = (gi, pj)
-        if key not in cache:
-            cache[key] = geometry.segmentation_iou(gt[gi][1], preds[pj][1])
-        return cache[key]
 
     thr = cfg.iou_threshold
     matches: dict[int, int] = {}
@@ -369,6 +397,10 @@ def evaluate_mot(
 
     States without a stored mask (e.g. interpolated ones) do not take
     part in matching.  ``n_gt`` follows the configured denominator.
+    Every frame's G×P IoUs come from one :func:`geometry.segmentation_ious`
+    call; a refused pair (masks of two sizes, a polygon too large for an
+    IoU) raises when the matching first reads it, frame by frame, as a
+    per-pair IoU did.
     """
     cfg = cfg or MotConfig()
     gt_frames = _states_by_frame(gt_tracks)
@@ -378,13 +410,30 @@ def evaluate_mot(
         raise UndefinedMetricError("no ground-truth objects to evaluate")
     frames = sorted(set(gt_frames) | set(pred_frames))
 
+    # every frame's G x P pairs in one call: frame f's ground truth from segs[g0[f]], its predictions from segs[p0[f]]
+    segs: list[Segmentation] = []
+    heads = []
+    for f in frames:
+        gt, preds = gt_frames.get(f, []), pred_frames.get(f, [])
+        heads.append((len(segs), len(segs) + len(gt), len(gt), len(preds)))
+        segs += [g for _, g in gt] + [p for _, p in preds]
+    g0, p0, n_gt, n_pred = np.array(heads, dtype=np.intp).T
+    n = n_gt * n_pred
+    offsets = np.cumsum(n) - n
+    of = np.repeat(np.arange(len(frames)), n)
+    k = np.arange(len(of)) - offsets[of]
+    pairs = np.stack((g0[of] + k // n_pred[of], p0[of] + k % n_pred[of]), axis=1)
+    refused: dict[int, SegtrackError] = {}
+    ious = geometry.segmentation_ious(segs, pairs, refused).tolist()
+
     prev: dict[str, str] = {}
     logs = []
     fn = fp = ids = 0
     iou_sum = 0.0
     n_matches = 0
-    for f in frames:
-        log = match_frame(gt_frames.get(f, []), pred_frames.get(f, []), prev, cfg, frame=f)
+    for f, offset in zip(frames, offsets.tolist()):
+        gt, preds = gt_frames.get(f, []), pred_frames.get(f, [])
+        log = _match_frame(gt, preds, _iou_reader(gt, preds, ious, refused, offset, f), prev, cfg, f)
         logs.append(log)
         fn += len(log.misses)
         fp += len(log.false_positives)
@@ -483,7 +532,10 @@ def evaluate_coco_ap(
     threshold in 0.50..0.95.  Area-restricted columns ignore
     out-of-range ground truth (and the detections consumed by it, plus
     unmatched detections outside the range) following the reference
-    protocol; ranges with no ground truth render as None.
+    protocol; ranges with no ground truth render as None.  Every
+    (detection, ground truth) IoU of all categories comes from one
+    :func:`geometry.segmentation_ious` call; the first refused pair, in
+    category, image, score and ground-truth order, raises.
     """
     if max_dets < 1:
         raise ValueError(f"max_dets must be >= 1, got {max_dets}")
@@ -510,19 +562,42 @@ def evaluate_coco_ap(
     keys_by_cat: dict[int, set[tuple[int, int]]] = {}
     for key in [*gts_by_key, *dets_by_key]:
         keys_by_cat.setdefault(key[1], set()).add(key)
+    cats = sorted(gt.categories, key=lambda c: c.id)
+    cat_units = [
+        [(gts_by_key.get(key, []), dets_by_key.get(key, [])) for key in sorted(keys_by_cat.get(cat.id, ()))]
+        for cat in cats
+    ]
+    # every (detection, ground truth) pair of every unit, in one call
+    segs: list[Segmentation] = []  # each unit's detections, then its ground truth
+    det_of: list[DetectionRecord | None] = []  # the detection of each of segs, or None
+    pairs: list[tuple[int, int]] = []
+    for keyed in cat_units:
+        for g, d in keyed:
+            d0, g0 = len(segs), len(segs) + len(d)
+            segs += [det.segmentation for _, det in d] + [ann.segmentation for ann in g]
+            det_of += [det for _, det in d] + [None] * len(g)
+            pairs += [(d0 + i, g0 + j) for i in range(len(d)) for j in range(len(g))]
+    refused: dict[int, SegtrackError] = {}
+    ious = geometry.segmentation_ious(segs, pairs, refused).tolist()
+    if refused:  # the first in pair order, as one IoU call at a time met it
+        first = min(refused)
+        if isinstance(refused[first], SizeMismatchError):
+            det = det_of[pairs[first][0]]
+            raise _size_mismatch(det.frame, det.label, det.segmentation, segs[pairs[first][1]])
+        raise refused[first]
+
     rows = []
-    for cat in sorted(gt.categories, key=lambda c: c.id):
+    at = 0  # of the next unit's first pair
+    for cat, keyed in zip(cats, cat_units):
         units = []
         dets = []
-        for key in sorted(keys_by_cat.get(cat.id, ())):
-            g = gts_by_key.get(key, [])
-            d = dets_by_key.get(key, [])
-            ious = [
-                [geometry.segmentation_iou(det.segmentation, ann.segmentation) for ann in g]
-                for _, det in d
-            ]
+        for g, d in keyed:
+            unit_ious = []
+            for _ in d:
+                unit_ious.append(ious[at:at + len(g)])
+                at += len(g)
             d_areas = [det.segmentation.area for _, det in d]
-            units.append((g, ious, d_areas))
+            units.append((g, unit_ious, d_areas))
             dets += d
         by_score = sorted(range(len(dets)), key=lambda j: (-dets[j][1].score, dets[j][0]))
 

@@ -660,3 +660,54 @@ def reference_centroid_and_bbox(mask):
         geometry.Point(col_sum / area + 0.5, row_sum / area + 0.5),
         geometry.BoundingBox(float(c_min), float(top), float(c_max - c_min + 1), float(bottom - top)),
     )
+
+
+# ---------------------------------------------------------------------------
+# segmentation IoU, one pair and one window at a time
+
+
+def _reference_fill(rings, top, left, height, width):
+    """``(top, left, grid)``: the union of ``rings``' pixels in the window, filled over their own extent."""
+    rows, c0, c1 = geometry._union_spans(rings, top, left, height, width)
+    if not rows.size:
+        return top, left, np.zeros((0, 0), dtype=bool)
+    top, left = int(rows.min()), int(c0.min())
+    return top, left, geometry._fill_spans(rows - top, c0 - left, c1 - left, int(rows.max()) + 1 - top, int(c1.max()) + 1 - left)
+
+
+def reference_segmentation_iou(a, b):
+    """IoU of one pair, each polygon filled per ring into one integer window.
+
+    The library's former one-pair kernel: two masks compare run against
+    run (:func:`geometry.rle_iou`); a pair with a polygon compares inside
+    the mask's frame, or a window holding both polygons, each polygon
+    filled over its own extent and a mask decoding only the columns
+    needed.  ``geometry.segmentation_ious`` must give every value
+    exactly, and refuse what this refuses.
+    """
+    operands = (0, 1)
+    if isinstance(a, geometry.RleMask):
+        if isinstance(b, geometry.RleMask):
+            return geometry.rle_iou(a, b)
+        a, b, operands = b, a, (1, 0)  # the IoU is symmetric; ``a`` is a polygon from here on
+    if isinstance(b, geometry.RleMask):
+        window = (0, 0, b.height, b.width)
+        if b.height * b.width > geometry._MAX_FILL:
+            geometry._check_fill(a, window, operands[0])
+    else:
+        geometry._check_fill(a, None, operands[0])
+        geometry._check_fill(b, None, operands[1])
+        (xa, ya, wa, ha), (xb, yb, wb, hb) = a.bbox, b.bbox
+        top, left = math.floor(min(ya, yb)) - 1, math.floor(min(xa, xb)) - 1
+        window = (top, left, math.ceil(max(ya + ha, yb + hb)) + 1 - top, math.ceil(max(xa + wa, xb + wb)) + 1 - left)
+    top, left, grid = _reference_fill(a.rings, *window)
+    h, w = grid.shape
+    if isinstance(b, geometry.RleMask):
+        other, other_area = geometry._rle_columns(b, left, left + w)[top:top + h], b.area
+    else:
+        rows, c0, c1 = geometry._union_spans(b.rings, top, left, h, w)
+        other = geometry._fill_spans(rows - top, c0 - left, c1 - left, h, w)
+        other_area = int(np.count_nonzero(_reference_fill(b.rings, *window)[2]))
+    inter = int(np.count_nonzero(grid & other))
+    union = int(np.count_nonzero(grid)) + other_area - inter
+    return inter / union if union else 0.0

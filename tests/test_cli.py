@@ -351,6 +351,20 @@ def test_eval_refuses_a_polygon_too_large_for_an_iou_naming_its_file(tmp_path, c
     )
 
 
+@pytest.mark.parametrize("command", ["eval-mot", "eval-coco"])
+def test_eval_refuses_masks_of_two_sizes_naming_file_frame_and_label(tmp_path, capsys, command):
+    gt = {"images": [{"id": 1, "file_name": "a.png", "height": 8, "width": 8, "frame_index": 3}],
+          "categories": [{"id": 1, "name": "a"}],
+          "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "segmentation": {"size": [8, 8], "counts": [0, 4, 60]}}]}
+    pred = {"frame": 3, "label": "a", "score": 0.9, "bbox": [0, 0, 1, 3], "segmentation": {"size": [6, 6], "counts": [0, 3, 33]}}
+    (tmp_path / "gt.json").write_text(json.dumps(gt))
+    (tmp_path / "small.jsonl").write_text(json.dumps(pred) + "\n")
+    assert run([command, "--gt", tmp_path / "gt.json", "--pred", tmp_path / "small.jsonl"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'small.jsonl'}: frame 3, label 'a': mask size 6x6 differs from the ground truth's 8x8\n"
+    )
+
+
 def _labelled_tracks(tmp_path, labels=("a,b", "x<&y")):
     """A track CSV of two animals 4 px apart in frames 0 and 1, each moving 2 px, under ``labels``."""
     pred = tmp_path / "labels.jsonl"

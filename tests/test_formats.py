@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 
 import pytest
@@ -320,6 +321,22 @@ def test_split_sizes():
     res = split_dataset(_dataset(10), ratio=0.8, seed=42)
     assert len(res.train.images) == 8
     assert len(res.val.images) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_split_of_few_images_keeps_one_for_validation(n):
+    res = split_dataset(_dataset(n), ratio=0.8, seed=0)
+    assert (len(res.train.images), len(res.val.images)) == (n - 1, 1)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 10, 13])
+def test_split_of_five_images_or_more_trains_on_the_ceiling(n):
+    res = split_dataset(_dataset(n), ratio=0.8, seed=3)
+    order = list(range(n))
+    random.Random(3).shuffle(order)
+    n_train = math.ceil(0.8 * n)
+    assert [i.file_name for i in res.train.images] == [f"f{k:03d}.png" for k in sorted(order[:n_train])]
+    assert [i.file_name for i in res.val.images] == [f"f{k:03d}.png" for k in sorted(order[n_train:])]
 
 
 def test_split_deterministic():

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from segtrack.errors import (
     EmptySegmentationError,
     InvalidPolygonError,
     OversizedPolygonError,
+    SizeMismatchError,
 )
 from segtrack.geometry import (
     _DECODE_CHUNK,
@@ -42,10 +44,11 @@ from segtrack.geometry import (
     rle_iou,
     rle_to_mask,
     segmentation_iou,
+    segmentation_ious,
     simplify_polygon,
 )
 
-from _oracles import dense_iou, raster_oracle, reference_centroid_and_bbox
+from _oracles import dense_iou, raster_oracle, reference_centroid_and_bbox, reference_segmentation_iou
 
 SQUARE = Polygon.from_xy([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = Polygon.from_xy([(0, 0), (4, 0), (0, 3)])
@@ -595,14 +598,16 @@ def test_zero_length_one_runs_take_no_part(counts, want):
     assert all(s < e for s, e in zip(*r.runs))
 
 
-@st.composite
-def _rle_masks(draw):
-    """Legal counts, zero-length runs included, on frames from 1x1 to 12x12."""
-    h = draw(st.integers(1, 12))
-    w = draw(st.integers(1, 12))
+def _draw_mask(draw, h, w):
     total = h * w
     cuts = sorted(draw(st.lists(st.integers(0, total), max_size=12)))
     return RleMask(h, w, tuple(np.diff([0, *cuts, total]).tolist()))
+
+
+@st.composite
+def _rle_masks(draw):
+    """Legal counts, zero-length runs included, on frames from 1x1 to 12x12."""
+    return _draw_mask(draw, draw(st.integers(1, 12)), draw(st.integers(1, 12)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -818,7 +823,7 @@ def test_segmentation_iou_refuses_before_filling_a_frame_past_the_cap(monkeypatc
     assert segmentation_iou(frame, corner) == segmentation_iou(corner, frame) == 4 / 28
     far_corner = Polygon.from_xy([(2**15 - 4, 2**16 - 4), (1e12, 2**16 - 4), (1e12, 1e12), (2**15 - 4, 1e12)])
     assert segmentation_iou(frame, far_corner) == 0.0  # its 4 x 4 pixels in the frame's last corner
-    monkeypatch.setattr(geometry, "_fill_rings", lambda *args: pytest.fail("filled a polygon past the cap"))
+    monkeypatch.setattr(geometry, "_spans_many", lambda *args: pytest.fail("filled a polygon past the cap"))
     cover = Polygon.from_xy([(-1, -1), (2**16, -1), (2**16, 2**17)])  # 2**15 x 2**16 of its pixels in the frame
     with pytest.raises(OversizedPolygonError) as info:
         segmentation_iou(frame, cover)
@@ -870,6 +875,149 @@ def test_segmentation_iou_polygon_pair_equals_dense_reference(rings_a, rings_b):
         for ring in b:
             frame_b |= rasterize(ring, height + top, width + left)
         assert segmentation_iou(seg_a, mask_to_rle(frame_b)) == want
+
+
+# ---------------------------------------------------------------------------
+# many IoUs in one call
+
+
+def _all_pairs(n):
+    return [(i, j) for i in range(n) for j in range(n)]
+
+
+@st.composite
+def _rle_mask_sets(draw):
+    """One to six masks of the _rle_masks corpus sharing one frame."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return [_draw_mask(draw, h, w) for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks=_rle_mask_sets())
+@example(masks=[RleMask(4, 4, (5, 0, 3, 2, 6)), RleMask(4, 4, (5, 0, 11)), RleMask(4, 4, (16,)), RleMask(4, 4, (0, 16))])
+@example(masks=[RleMask(4, 3, (2, 9, 1)), RleMask(4, 3, (0, 3, 2, 7)), RleMask(4, 3, (5, 7))])  # runs across columns
+@example(masks=[RleMask(1, 7, (1, 2, 0, 3, 1)), RleMask(1, 7, (0, 1, 1, 5))])  # 1xN: every run crosses columns
+@example(masks=[RleMask(7, 1, (0, 3, 0, 2, 2)), RleMask(7, 1, (2, 0, 0, 5))])  # Nx1: one column
+def test_segmentation_ious_of_masks_equal_rle_iou(masks):
+    pairs = _all_pairs(len(masks))
+    assert segmentation_ious(masks, pairs).tolist() == [rle_iou(masks[i], masks[j]) for i, j in pairs]
+
+
+_FAR = Polygon.from_xy([(1000.5, 1000), (1004, 1000.5), (1002, 1003)])
+
+
+@st.composite
+def _mixed_segs(draw):
+    """Polygons, multi-ring polygons and masks of one frame; rings reach past the frame, and one may lie far off."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    segs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            rings = [Polygon.from_xy(r) for r in draw(_pair_rings)]
+            segs.append(rings[0] if len(rings) == 1 else MultiPolygon(rings))
+        else:
+            segs.append(_draw_mask(draw, h, w))
+    if draw(st.booleans()):
+        segs.append(_FAR)
+    return segs
+
+
+_MIXED_EXAMPLES = [
+    [Polygon.from_xy(TRI_A), Polygon.from_xy(TRI_B), mask_to_rle(rasterize(Polygon.from_xy(TRI_B), 6, 6))],
+    # overlapping rings of one instance count their shared pixels once
+    [MultiPolygon([Polygon.from_xy([(0, 0), (5, 0), (5, 5), (0, 5)]), Polygon.from_xy([(3, 3), (9, 3), (9, 9)])]),
+     RleMask(8, 8, (10, 30, 24)), Polygon.from_xy([(-4, -4), (6.5, -4), (6.5, 6.5), (-4, 6.5)]), _FAR],
+    [RleMask(3, 3, (0, 9)), RleMask(3, 3, (9,)), Polygon.from_xy([(2, 3.5), (2.5, 2), (2.7, 3)]), _FAR],  # no pixel center
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(segs=_mixed_segs())
+@example(segs=_MIXED_EXAMPLES[0])
+@example(segs=_MIXED_EXAMPLES[1])
+@example(segs=_MIXED_EXAMPLES[2])
+def test_segmentation_ious_equal_the_one_pair_reference(segs):
+    pairs = _all_pairs(len(segs))
+    want = [reference_segmentation_iou(segs[i], segs[j]) for i, j in pairs]
+    assert segmentation_ious(segs, pairs).tolist() == want
+    assert [segmentation_iou(segs[i], segs[j]) for i, j in pairs] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(segs=_mixed_segs(), chunk=st.integers(1, 4), budget=st.integers(1, 64))
+@example(segs=_MIXED_EXAMPLES[1], chunk=1, budget=1)
+def test_segmentation_ious_are_the_same_in_any_chunks(segs, chunk, budget):
+    pairs = _all_pairs(len(segs))
+    with mock.patch.object(geometry, "_IOU_CHUNK", chunk), mock.patch.object(geometry, "_IOU_BUDGET", budget):
+        got = segmentation_ious(segs, pairs)
+    assert got.tolist() == [reference_segmentation_iou(segs[i], segs[j]) for i, j in pairs]
+
+
+def test_segmentation_ious_cross_chunk_boundaries():
+    # hand-drawn rings against disc masks, as labelled frames meet a detector's output, and mask pairs
+    rng = np.random.default_rng(15)
+    segs = []
+    for _ in range(geometry._IOU_CHUNK + 40):
+        cx, cy = rng.uniform(-4, 36, 2)
+        angles = np.sort(rng.uniform(0, 2 * math.pi, 9))
+        segs.append(Polygon.from_xy([(cx + 6 * math.cos(a), cy + 6 * math.sin(a)) for a in angles]))
+        yy, xx = np.mgrid[:32, :32]
+        segs.append(mask_to_rle((xx + 0.5 - cx - rng.normal()) ** 2 + (yy + 0.5 - cy - rng.normal()) ** 2 < 30))
+    pairs = [(k, k + 1) for k in range(0, len(segs), 2)] + [(k + 1, k + 3) for k in range(0, len(segs) - 3, 2)]
+    assert len(pairs) > 2 * geometry._IOU_CHUNK
+    got = segmentation_ious(segs, pairs)
+    assert got.tolist() == [reference_segmentation_iou(segs[i], segs[j]) for i, j in pairs]
+    assert np.count_nonzero(got) > len(pairs) // 2
+
+
+def test_segmentation_ious_refuse_the_first_refused_pair_in_order():
+    small, big = Polygon.from_xy([(0, 0), (4, 0), (4, 4)]), Polygon.from_xy([(0, 0), (1e200, 0), (1e200, 1e200)])
+    segs = [small, big, RleMask(8, 8, (64,)), RleMask(6, 6, (36,))]
+    pairs = [(0, 0), (2, 3), (1, 0), (0, 1)]
+    with pytest.raises(SizeMismatchError, match=r"^dimension mismatch: 8x8 vs 6x6$"):
+        segmentation_ious(segs, pairs)
+    with pytest.raises(OversizedPolygonError) as info:
+        segmentation_ious(segs, pairs[2:])
+    assert info.value.operand == 0
+    refused = {}
+    got = segmentation_ious(segs, pairs, refused)
+    assert got[0] == 1.0 and np.isnan(got[1:]).all()
+    assert [(k, type(e), getattr(e, "operand", None)) for k, e in sorted(refused.items())] == [
+        (1, SizeMismatchError, None), (2, OversizedPolygonError, 0), (3, OversizedPolygonError, 1)
+    ]
+    assert segmentation_ious(segs, []).shape == (0,)
+
+
+def test_segmentation_ious_of_masks_past_the_bound_go_through_rle_iou():
+    def column_3(h, w, r0, r1):  # rows r0..r1 - 1 of column 3
+        return RleMask(h, w, (3 * h + r0, r1 - r0, h * w - 3 * h - r1))
+
+    poly = Polygon.from_xy([(3, 0), (4, 0), (4, 4), (3, 4)])  # rows 0..3 of column 3
+    for h, w in ((2**26, 2**26), (2**32, 2**32)):  # 2**52 pixels, and more than int64 holds
+        assert h * w >= geometry._MASK_BOUND
+        mask, other = column_3(h, w, 2, 6), column_3(h, w, 4, 8)
+        got = segmentation_ious([mask, other, poly], [(0, 1), (2, 0), (0, 2), (2, 2), (1, 1)])
+        assert got.tolist() == [2 / 6, 2 / 6, 2 / 6, 1.0, 1.0]
+    small = column_3(16, 16, 2, 6)
+    assert segmentation_ious([small, poly], [(0, 1)]).tolist() == [2 / 6]
+    tall = RleMask(2**64, 1, (2, 4, 2**64 - 6))  # rows 2..5 of one column
+    first_column = Polygon.from_xy([(0, 0), (1, 0), (1, 4), (0, 4)])
+    assert segmentation_ious([small, tall, first_column], [(0, 2), (2, 1), (1, 1)]).tolist() == [0.0, 2 / 6, 1.0]
+
+
+@pytest.mark.parametrize("offset", [0, -7.25, 2**40 + 0.5, 2**53 + 1, 2**60])
+def test_spans_many_equal_ring_spans_far_from_the_origin(offset):
+    rings = [Polygon.from_xy([(x + offset, y - offset) for x, y in ring]) for ring in (TRI_A, TRI_B, SQUARE_10, DIAMOND)]
+    windows = [(t, l, b - t, r - l) for t, l, b, r in map(geometry._fill_box, rings)] + [(0, 0, 6, 6)] * len(rings)
+    rows, c0, c1, ring = geometry._spans_many(rings + rings, windows)
+    for k, window in enumerate(windows):
+        want = geometry._ring_spans((rings + rings)[k], *window)
+        got = rows[ring == k], c0[ring == k], c1[ring == k]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), k
+
+
+SQUARE_10 = [(0.5, 0.5), (10.5, 0.5), (10.5, 10.5), (0.5, 10.5)]
+DIAMOND = [(5, -2), (12.2, 5), (5, 12.7), (-2.3, 5), (5, 4.5)]
 
 
 def test_rasterized_area_close_to_shoelace():

@@ -2,17 +2,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segtrack.errors import SchemaError, UndefinedMetricError
+from segtrack import metrics
+from segtrack.errors import OversizedPolygonError, SchemaError, SizeMismatchError, UndefinedMetricError
 from segtrack.formats import (
     CocoAnnotation,
     CocoCategory,
     CocoDataset,
     CocoImage,
     coco_to_tracks,
+    image_frame_map,
     parse_predictions,
     read_coco,
     write_coco,
@@ -37,6 +42,7 @@ from _oracles import (
     coco_ap_oracle,
     random_ap_dataset,
     reference_hungarian,
+    reference_segmentation_iou,
 )
 
 
@@ -537,3 +543,133 @@ def test_ap_matches_brute_force_oracle():
         for name, w in want.items():
             g = got[name]
             assert g.values() == (w["ap"], w["ap50"], w["ap75"], w["small"], w["medium"], w["large"])
+
+
+# ---------------------------------------------------------------------------
+# refusals: the first one each evaluation meets, as one IoU call per pair met it
+
+_HUGE = Polygon.from_xy([(0, 0), (1e200, 0), (1e200, 1e200)])
+
+
+def _square(x, y, side, size=8):
+    m = np.zeros((size, size), dtype=bool)
+    m[y:y + side, x:x + side] = True
+    return mask_to_rle(m)
+
+
+_segs = st.one_of(
+    st.builds(_square, st.integers(0, 4), st.integers(0, 4), st.integers(2, 4)),
+    st.builds(lambda x, y: rect(x, y, 3.0, 3.0), st.integers(0, 5), st.integers(0, 5)),
+    st.builds(lambda x: _square(x, 0, 3, size=6), st.integers(0, 3)),  # another frame size
+    st.just(_HUGE),
+)
+
+
+def _per_pair_mot(gt_tracks, pred_tracks):
+    """evaluate_mot's fold, each IoU one reference call when the matching first reads it.
+
+    Returns the frame logs, or the first refusal with the frame and prediction label of its pair.
+    """
+    gt_frames, pred_frames = metrics._states_by_frame(gt_tracks), metrics._states_by_frame(pred_tracks)
+    prev, logs = {}, []
+    for f in sorted(set(gt_frames) | set(pred_frames)):
+        g, p = gt_frames.get(f, []), pred_frames.get(f, [])
+        read = []
+
+        def iou(gi, pj):
+            read.append(pj)
+            return reference_segmentation_iou(g[gi][1], p[pj][1])
+
+        try:
+            log = metrics._match_frame(g, p, iou, prev, MotConfig(), f)
+        except (OversizedPolygonError, ValueError) as e:
+            return e, f, p[read[-1]][0]
+        prev.update((gid, label) for gid, label, _ in log.matches)
+        logs.append(log)
+    return tuple(logs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gt=st.lists(st.dictionaries(st.integers(0, 3), _segs, min_size=1), min_size=1, max_size=3),
+    pred=st.lists(st.dictionaries(st.integers(0, 3), _segs), max_size=4),
+)
+def test_evaluate_mot_meets_the_refusal_a_per_pair_evaluation_met(gt, pred):
+    gt_tracks = [Track(f"g{i}", [TrackState(f, 1.0, seg) for f, seg in sorted(t.items())]) for i, t in enumerate(gt)]
+    pred_tracks = [Track(f"p{i}", [TrackState(f, 1.0, seg) for f, seg in sorted(t.items())]) for i, t in enumerate(pred)]
+    want = _per_pair_mot(gt_tracks, pred_tracks)
+    if isinstance(want, tuple) and len(want) == 3 and isinstance(want[0], Exception):
+        error, frame, label = want
+        with pytest.raises((OversizedPolygonError, SizeMismatchError)) as info:
+            evaluate_mot(gt_tracks, pred_tracks)
+        if isinstance(error, OversizedPolygonError):
+            assert (type(info.value), str(info.value), info.value.operand) == (OversizedPolygonError, str(error), error.operand)
+        else:  # the reference names both sizes, ground truth first
+            gh, gw, ph, pw = map(int, re.fullmatch(r"dimension mismatch: (\d+)x(\d+) vs (\d+)x(\d+)", str(error)).groups())
+            assert type(info.value) is SizeMismatchError
+            assert str(info.value) == f"frame {frame}, label {label!r}: mask size {ph}x{pw} differs from the ground truth's {gh}x{gw}"
+    else:
+        assert evaluate_mot(gt_tracks, pred_tracks).per_frame_log == want
+
+
+def test_evaluate_mot_compares_no_pair_the_matching_never_reads():
+    # frame 1: g0 keeps its sticky match, so the 6 x 6 prediction meets no ground truth and is a false positive
+    gt = [Track("g0", [TrackState(f, 1.0, _square(0, 0, 4)) for f in (0, 1)])]
+    pred = [Track("p0", [TrackState(f, 1.0, _square(0, 0, 4)) for f in (0, 1)]),
+            Track("p1", [TrackState(1, 1.0, _square(0, 0, 3, size=6))])]
+    report = evaluate_mot(gt, pred)
+    assert (report.false_negatives, report.false_positives, report.id_switches) == (0, 1, 0)
+    # where the matching reads that pair, it is refused, named by frame and label
+    gt[0] = Track("g0", [TrackState(0, 1.0, _square(0, 0, 4)), TrackState(1, 1.0, _square(4, 4, 4))])
+    with pytest.raises(SizeMismatchError, match=r"^frame 1, label 'p1': mask size 6x6 differs from the ground truth's 8x8$"):
+        evaluate_mot(gt, pred)
+
+
+def _per_pair_coco(gt, preds, max_dets=100):
+    """The first refusal of evaluate_coco_ap's IoUs, one reference call per pair, with the detection of its pair.
+
+    Categories by id, then (image, category) keys, detections by score, ground truth in file order.
+    """
+    frames = image_frame_map(gt)
+    cat_of = {c.name: c.id for c in gt.categories}
+    dets = {}
+    for idx, det in enumerate(preds):
+        dets.setdefault((frames[det.frame].id, cat_of[det.label]), []).append((idx, det))
+    anns = {}
+    for ann in gt.annotations:
+        anns.setdefault((ann.image_id, ann.category_id), []).append(ann)
+    for cat in sorted(c.id for c in gt.categories):
+        for key in sorted(k for k in {*dets, *anns} if k[1] == cat):
+            for _, det in sorted(dets.get(key, []), key=lambda t: (-t[1].score, t[0]))[:max_dets]:
+                for ann in anns.get(key, []):
+                    try:
+                        reference_segmentation_iou(det.segmentation, ann.segmentation)
+                    except (OversizedPolygonError, ValueError) as e:
+                        return e, det
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    anns=st.lists(st.tuples(st.integers(1, 2), st.sampled_from("ab"), _segs), max_size=5),
+    dets=st.lists(st.tuples(st.integers(0, 1), st.sampled_from("ab"), st.sampled_from([0.3, 0.6, 0.9]), _segs), max_size=6),
+    max_dets=st.integers(1, 3),
+)
+def test_evaluate_coco_ap_meets_the_refusal_a_per_pair_evaluation_met(anns, dets, max_dets):
+    ds = _ap_dataset(n_images=2, cats=("a", "b"))
+    for k, (image_id, name, seg) in enumerate(anns):
+        ds.annotations.append(CocoAnnotation(k + 1, image_id, "ab".index(name) + 1, seg, seg.bbox, seg.area, 0))
+    preds = [DetectionRecord(frame, label, score, seg, seg.bbox) for frame, label, score, seg in dets]
+    want = _per_pair_coco(ds, preds, max_dets)
+    if want is None:
+        evaluate_coco_ap(ds, preds, max_dets=max_dets)
+        return
+    error, det = want
+    with pytest.raises((OversizedPolygonError, SizeMismatchError)) as info:
+        evaluate_coco_ap(ds, preds, max_dets=max_dets)
+    if isinstance(error, OversizedPolygonError):
+        assert (type(info.value), str(info.value), info.value.operand) == (OversizedPolygonError, str(error), error.operand)
+    else:  # the reference names both sizes, prediction first
+        ph, pw, gh, gw = map(int, re.fullmatch(r"dimension mismatch: (\d+)x(\d+) vs (\d+)x(\d+)", str(error)).groups())
+        assert type(info.value) is SizeMismatchError
+        assert str(info.value) == f"frame {det.frame}, label {det.label!r}: mask size {ph}x{pw} differs from the ground truth's {gh}x{gw}"
