@@ -33,6 +33,7 @@ from .errors import (
     ConflictError,
     IntegrityError,
     OutOfRangeError,
+    OversizedPolygonError,
     ParseError,
     SchemaError,
     SegtrackError,
@@ -299,8 +300,10 @@ def labelme_to_coco(docs: Sequence[LabelmeDocument], keypoint_radius: float = 5.
     ``frame_index``.  A region whose area or bbox overflows to a
     non-finite value raises :class:`OutOfRangeError`, and a group whose
     rings share a pixel center in the image raises :class:`ConflictError`
-    (its area, the sum of the ring areas, would count that pixel twice);
-    both name the document and the region's first shape.
+    (its area, the sum of the ring areas, would count that pixel twice).
+    A group whose rings could fill more of the image than that check may
+    (:func:`geometry.rings_overlap`) raises :class:`OversizedPolygonError`.
+    Each names the document and the region's first shape.
     """
     if not docs:
         raise ValueError("need at least one document")
@@ -341,7 +344,11 @@ def labelme_to_coco(docs: Sequence[LabelmeDocument], keypoint_radius: float = 5.
                     f"document {doc.image_path!r}, shape {first}: coordinates too large:"
                     f" area {json.dumps(seg.area)}, bbox {json.dumps(list(seg.bbox))}"
                 )
-            if len(rings) > 1 and geometry.rings_overlap(rings, doc.image_height, doc.image_width):
+            try:
+                overlap = len(rings) > 1 and geometry.rings_overlap(rings, doc.image_height, doc.image_width)
+            except OversizedPolygonError as e:
+                raise OversizedPolygonError(f"document {doc.image_path!r}, shape {first}: group {key[1]}: {e}") from e
+            if overlap:
                 raise ConflictError(
                     f"document {doc.image_path!r}, shape {first}: the rings of group {key[1]} share a pixel"
                 )

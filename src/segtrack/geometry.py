@@ -15,22 +15,26 @@ on the form.
 Rasterization uses the even-odd rule tested at pixel centers with a
 half-open boundary convention: a center lying exactly on a left/top
 edge is inside, on a right/bottom edge outside, so adjacent polygons
-never claim the same pixel twice.  A ring is first cut into per-row
-fill spans in frame pixel indices, clipped to an integer window (the
-frame, for :func:`rasterize`); the spans are then filled into a grid.
+never claim the same pixel twice.  In spans: the center line ``y = r + 0.5``
+of row ``r`` crosses edge ``(x1, y1)-(x2, y2)`` iff ``min(y1, y2) <= y <
+max(y1, y2)``, at ``x = x1 + (y - y1) * (x2 - x1) / (y2 - y1)`` in
+float64; the row's crossings, sorted, pair up, and pair ``(xa, xb)``
+fills the columns ``c`` with ``xa <= c + 0.5 < xb``.  One kernel,
+:func:`_spans_many`, cuts rings into these per-row fill spans, each in
+an integer window of frame pixel indices (the frame, for :func:`rasterize`).
 
 :func:`segmentation_ious` computes many IoUs in chunked numpy passes.
 It takes each mask's one-runs once, from its counts, and each polygon's
 fill spans once, in the mask's frame or in its own fill box against a
-polygon, with :func:`_ring_spans`'s own arithmetic and no vertex
-shifted.  Per pair it counts, in exact ints, the pixels both operands
-cover where their extents meet; a pair whose extents do not meet reads
-0.0 without a fill.  So polygon pixels outside a mask's frame do not
-count, and every value equals a comparison of the two full-frame
-renderings exactly.  Masks of two sizes, and a polygon that could fill
-more than ``_MAX_FILL`` pixels, are refused before anything is filled.
-:func:`segmentation_iou` is its one-pair call; :func:`rle_iou` is the
-scalar mask/mask sweep.
+polygon, with no vertex shifted.  Per pair it counts, in exact ints,
+the pixels both operands cover where their extents meet; a pair whose
+extents do not meet reads 0.0 without a fill.  So polygon pixels outside
+a mask's frame do not count, and every value equals a comparison of the
+two full-frame renderings exactly.  Masks of two sizes, and a polygon
+that could fill more than ``_MAX_FILL`` pixels, are refused before
+anything is filled; :func:`rings_overlap` refuses such a group of rings
+in its frame the same way.  :func:`segmentation_iou` is its one-pair
+call; :func:`rle_iou` is the scalar mask/mask sweep.
 
 All functions are pure; nothing here holds global state, so every
 operation is safe to call from concurrent threads.
@@ -408,52 +412,6 @@ def has_self_intersection(p: Polygon) -> bool:
 # rasterization
 
 
-def _ring_spans(p: Polygon, top: int, left: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fill spans ``(rows, c0, c1)`` of a ring in frame pixel indices, clipped to an integer window.
-
-    Span ``k`` covers columns ``c0[k]..c1[k]`` (inclusive) of row
-    ``rows[k]``; every span is non-empty, and the spans of one row never
-    overlap.  The pixel rule is that of :func:`rasterize`, whose frame is
-    the window ``0, 0, height, width``.  No vertex moves with the window.
-    """
-    pts = p.as_array()
-    nxt = np.concatenate((pts[1:], pts[:1]))
-    x1, y1, x2, y2 = pts[:, 0], pts[:, 1], nxt[:, 0], nxt[:, 1]
-    lo = np.minimum(y1, y2)
-    hi = np.maximum(y1, y2)
-    r0 = max(top, math.ceil(float(lo.min()) - 0.5))
-    r1 = min(top + height - 1, math.ceil(float(hi.max()) - 0.5) - 1)
-    if r0 > r1:
-        none = np.empty(0, dtype=np.int64)
-        return none, none, none
-
-    ys = (np.arange(r0, r1 + 1, dtype=np.float64) + 0.5)[:, None]
-    sel = (lo <= ys) & (ys < hi)  # never true on a horizontal edge
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        xs = np.where(sel, x1 + (ys - y1) * (x2 - x1) / (y2 - y1), np.nan)
-    xs.sort(axis=1)  # NaN sorts last, leaving crossing pairs up front
-    # each row crosses the closed ring an even number of times, so with
-    # an odd edge count the last slot is always NaN and pairs with nothing
-    n_pairs = xs.shape[1] // 2
-    xa = xs[:, 0:2 * n_pairs:2]
-    xb = xs[:, 1:2 * n_pairs:2]
-    valid = ~np.isnan(xb)
-    rows = np.nonzero(valid)[0] + r0
-    # clamp to just outside the window so infinite crossings from
-    # near-degenerate edges cast cleanly; pairing is unaffected
-    xa = np.minimum(np.maximum(xa[valid], left - 1.0), left + width + 1.0)
-    xb = np.minimum(np.maximum(xb[valid], left - 1.0), left + width + 1.0)
-    c0 = np.maximum(np.ceil(xa - 0.5).astype(np.int64), left)
-    c1 = np.minimum(np.ceil(xb - 0.5).astype(np.int64) - 1, left + width - 1)
-    ok = c0 <= c1
-    return rows[ok], c0[ok], c1[ok]
-
-
-def _union_spans(rings: Iterable[Polygon], top: int, left: int, height: int, width: int) -> tuple[np.ndarray, ...]:
-    """The spans of every ring in one window, concatenated; spans of two rings may overlap."""
-    return tuple(np.concatenate(part) for part in zip(*(_ring_spans(r, top, left, height, width) for r in rings)))
-
-
 def _fill_spans(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray, height: int, width: int) -> np.ndarray:
     """``(height, width)`` grid with the pixels of every span set; overlapping spans unite."""
     grid = np.zeros((height, width), dtype=bool)
@@ -463,8 +421,14 @@ def _fill_spans(rows: np.ndarray, c0: np.ndarray, c1: np.ndarray, height: int, w
 
 
 def rings_overlap(rings: Iterable[Polygon], height: int, width: int) -> bool:
-    """True when two of ``rings`` claim the same pixel of a ``(height, width)`` frame; read from their spans."""
-    rows, c0, c1 = _union_spans(rings, 0, 0, height, width)
+    """True when two of ``rings`` claim the same pixel of a ``(height, width)`` frame; read from their spans.
+
+    As an IoU with a mask of that frame does, it refuses rings that could
+    fill past the cap there (:func:`_check_fill`) before any span is cut.
+    """
+    group = MultiPolygon(rings)
+    _check_fill(group, (0, 0, height, width), None, "an overlap check")
+    rows, c0, c1, _ = _frame_spans(group, height, width)
     order = np.lexsort((c0, rows))
     rows, c0, c1 = rows[order], c0[order], c1[order]
     return bool(np.any((rows[1:] == rows[:-1]) & (c0[1:] <= c1[:-1])))
@@ -480,7 +444,7 @@ def rasterize(p: Polygon, height: int, width: int) -> np.ndarray:
     """
     if height <= 0 or width <= 0:
         raise ValueError(f"grid dimensions must be positive, got {height}x{width}")
-    return _fill_spans(*_ring_spans(p, 0, 0, height, width), height, width)
+    return _fill_spans(*_spans_many([p], [(0, 0, height, width)])[:3], height, width)
 
 
 # ---------------------------------------------------------------------------
@@ -930,31 +894,34 @@ _MAX_FILL = 2**30  # pixels one polygon may fill in an IoU: a GiB for each grid 
 _MAX_INDEX = 2**62  # and all of them this close to the origin, so no pixel index overflows int64
 
 
-def _fill_box(p: Polygon | MultiPolygon) -> tuple[int, int, int, int]:
-    """``(top, left, bottom, right)``: the pixels ``p`` could fill, its vertex bounds with a pixel to spare on each side."""
+def _fill_box(p: Polygon | MultiPolygon, frame: tuple[int, int, int, int] | None = None) -> tuple[int, int, int, int]:
+    """``(top, left, bottom, right)``: the pixels ``p`` could fill, its vertex bounds with a pixel to spare on each side.
+
+    With a ``frame`` ``(top, left, height, width)``, the box is cut to it, so it may be empty.
+    """
     bounds = [r._bounds for r in p.rings]
     top, left = math.ceil(min(b[1] for b in bounds) - 0.5) - 1, math.ceil(min(b[0] for b in bounds) - 0.5) - 1
     bottom, right = math.ceil(max(b[3] for b in bounds) - 0.5) + 1, math.ceil(max(b[2] for b in bounds) - 0.5) + 1
-    return top, left, bottom, right
-
-
-def _check_fill(p: Polygon | MultiPolygon, frame: tuple[int, int, int, int] | None, operand: int) -> None:
-    """Refuse ``p`` in an IoU when it could fill more than ``_MAX_FILL`` pixels inside ``frame``, or anywhere.
-
-    The pixels it could fill are its :func:`_fill_box`, cut to the frame
-    ``(top, left, height, width)``, counted in exact ints.  Too many of
-    them, or one past ``_MAX_INDEX``, raises :class:`OversizedPolygonError`
-    naming the IoU argument ``operand``.
-    """
-    top, left, bottom, right = _fill_box(p)
     if frame is not None:
         top, left = max(top, frame[0]), max(left, frame[1])
         bottom, right = min(bottom, frame[0] + frame[2]), min(right, frame[1] + frame[3])
+    return top, left, bottom, right
+
+
+def _check_fill(p: Polygon | MultiPolygon, frame: tuple[int, int, int, int] | None, operand: int | None, use: str = "an IoU") -> None:
+    """Refuse ``p`` in an IoU when it could fill more than ``_MAX_FILL`` pixels inside ``frame``, or anywhere.
+
+    The pixels it could fill are its :func:`_fill_box` in the frame,
+    counted in exact ints.  Too many of them, or one past ``_MAX_INDEX``,
+    raises :class:`OversizedPolygonError` naming the IoU argument
+    ``operand``; ``use`` names what refuses in the message.
+    """
+    top, left, bottom, right = _fill_box(p, frame)
     if top < bottom and left < right and (
         (bottom - top) * (right - left) > _MAX_FILL or max(-top, -left, bottom, right) > _MAX_INDEX
     ):
         raise OversizedPolygonError(
-            f"polygon with bbox {list(p.bbox)} is too large for an IoU, which fills at most"
+            f"polygon with bbox {list(p.bbox)} is too large for {use}, which fills at most"
             f" {_MAX_FILL:,} pixels of a polygon, each within {_MAX_INDEX:,} of the origin",
             operand,
         )
@@ -1012,13 +979,21 @@ _ROW_LIMIT = 3.0 * 2**61  # past every window row, and exact in both float64 and
 
 
 def _spans_many(rings: Sequence[Polygon], windows: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarray, ...]:
-    """``(rows, c0, c1, ring)``: ``_ring_spans(rings[k], *windows[k])`` for every ring ``k``, concatenated in ring order.
+    """``(rows, c0, c1, ring)``: the fill spans of each ring ``k`` in its window ``windows[k]``, concatenated in ring order.
 
+    A window ``(top, left, height, width)`` holds frame pixel indices
+    within 2^62 of the origin; no vertex moves with it.  Span ``j`` of
+    ring ``ring[j]`` covers columns ``c0[j]..c1[j]`` of row ``rows[j]``;
+    one ring's spans in a row never overlap, two rings' may.  The pixel
+    rule is the module's: row center ``y`` crosses edge ``(x1, y1)-(x2, y2)``
+    iff ``min(y1, y2) <= y < max(y1, y2)``, at ``x1 + (y - y1) * (x2 - x1)
+    / (y2 - y1)`` in that order of float64 operations; sorted crossings
+    pair up, and ``(xa, xb)`` fills columns ``ceil(xa - 0.5)`` to
+    ``ceil(xb - 0.5) - 1``.  Row centers count on from the first row
+    ``r0`` a ring can cross as ``np.arange(r0, ..., dtype=np.float64) +
+    0.5`` does, so ``y = r + 0.5`` exactly within 2^53 of the origin.
     Rings with the same vertex count, and close row counts, share numpy
-    passes over chunks of at most ``_IOU_BUDGET`` crossing slots.  Each
-    crossing is :func:`_ring_spans`'s own float expression, and each row
-    center its ``arange`` value, so every span is the same.  Every window
-    row must lie within 2^62 of the origin.
+    passes over chunks of at most ``_IOU_BUDGET`` crossing slots.
     """
     by_size: dict[int, list[int]] = {}
     for k, ring in enumerate(rings):
@@ -1029,7 +1004,7 @@ def _spans_many(rings: Sequence[Polygon], windows: Sequence[tuple[int, int, int,
         flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rings[k].points for k in members))
         pts = np.fromiter(flat, np.float64, 2 * n_edges * len(members)).reshape(len(members), n_edges, 2)
         win = windows[members]
-        # _ring_spans's rows, max(top, ceil(y_min - 0.5)) .. min(bottom, ceil(y_max - 0.5) - 1), in exact ints
+        # the rows a ring can cross, max(top, ceil(y_min - 0.5)) .. min(bottom, ceil(y_max - 0.5) - 1), in exact ints
         y_min, y_max = (np.clip(np.ceil(y - 0.5), -_ROW_LIMIT, _ROW_LIMIT).astype(np.int64) for y in (pts[..., 1].min(axis=1), pts[..., 1].max(axis=1)))
         first = np.maximum(win[:, 0], y_min)
         count = np.maximum(np.minimum(win[:, 0] + win[:, 2] - 1, y_max - 1) + 1 - first, 0)
@@ -1052,7 +1027,9 @@ def _spans_many(rings: Sequence[Polygon], windows: Sequence[tuple[int, int, int,
                 xs += x1
             xs[~sel] = np.nan
             xs = xs.reshape(-1, n_edges)
-            xs.sort(axis=1)
+            xs.sort(axis=1)  # NaN sorts last, leaving crossing pairs up front
+            # a row crosses the closed ring an even number of times, so with
+            # an odd edge count the last slot is always NaN and pairs with nothing
             n_pairs = n_edges // 2
             xa = xs[:, 0:2 * n_pairs:2]
             xb = xs[:, 1:2 * n_pairs:2]
@@ -1060,6 +1037,7 @@ def _spans_many(rings: Sequence[Polygon], windows: Sequence[tuple[int, int, int,
             ring, row = np.divmod(np.nonzero(valid)[0], len(i))
             left = win[lo:hi, 1][ring]
             right = left + win[lo:hi, 3][ring]
+            # clamp to just outside the window, so infinite crossings of near-degenerate edges cast cleanly
             xa = np.minimum(np.maximum(xa[valid], left - 1.0), right + 1.0)
             xb = np.minimum(np.maximum(xb[valid], left - 1.0), right + 1.0)
             c0 = np.maximum(np.ceil(xa - 0.5).astype(np.int64), left)
@@ -1073,6 +1051,14 @@ def _spans_many(rings: Sequence[Polygon], windows: Sequence[tuple[int, int, int,
         out.append(np.concatenate(column)[order])
         column.clear()
     return tuple(out)
+
+
+def _frame_spans(p: Polygon | MultiPolygon, height: int, width: int) -> tuple[np.ndarray, ...]:
+    """:func:`_spans_many` of ``p``'s rings in the part of a ``(height, width)`` frame it could fill, checked by the caller."""
+    top, left, bottom, right = _fill_box(p, (0, 0, height, width))
+    if top >= bottom or left >= right:
+        return (np.empty(0, dtype=np.int64),) * 4
+    return _spans_many(p.rings, [(top, left, bottom - top, right - left)] * len(p.rings))
 
 
 def _grid_runs(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1240,11 +1226,8 @@ def _scalar_iou(a: Segmentation, b: Segmentation) -> float:
     if isinstance(a, RleMask) and isinstance(b, RleMask):
         return rle_iou(a, b)
     poly, mask = (b, a) if isinstance(a, RleMask) else (a, b)
-    top, left, bottom, right = _fill_box(poly)  # checked: the frame is over _MAX_FILL, so the box fits int64
-    top, left = max(top, 0), max(left, 0)
-    window = (top, left, max(min(bottom, mask.height) - top, 0), max(min(right, mask.width) - left, 0))
-    spans = _union_spans(poly.rings, *window) if window[2] and window[3] else (np.empty(0, dtype=np.int64),) * 3
-    return rle_iou(_spans_mask(*spans, mask.height, mask.width), mask)
+    rows, c0, c1, _ = _frame_spans(poly, mask.height, mask.width)  # a frame over _MAX_FILL, so _refusal checked it
+    return rle_iou(_spans_mask(rows, c0, c1, mask.height, mask.width), mask)
 
 
 def segmentation_ious(

@@ -666,9 +666,56 @@ def reference_centroid_and_bbox(mask):
 # segmentation IoU, one pair and one window at a time
 
 
+# the library's former one-ring span cutter, kept verbatim: geometry._spans_many must give its spans
+def reference_ring_spans(p: geometry.Polygon, top: int, left: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fill spans ``(rows, c0, c1)`` of a ring in frame pixel indices, clipped to an integer window.
+
+    Span ``k`` covers columns ``c0[k]..c1[k]`` (inclusive) of row
+    ``rows[k]``; every span is non-empty, and the spans of one row never
+    overlap.  The pixel rule is that of :func:`rasterize`, whose frame is
+    the window ``0, 0, height, width``.  No vertex moves with the window.
+    """
+    pts = p.as_array()
+    nxt = np.concatenate((pts[1:], pts[:1]))
+    x1, y1, x2, y2 = pts[:, 0], pts[:, 1], nxt[:, 0], nxt[:, 1]
+    lo = np.minimum(y1, y2)
+    hi = np.maximum(y1, y2)
+    r0 = max(top, math.ceil(float(lo.min()) - 0.5))
+    r1 = min(top + height - 1, math.ceil(float(hi.max()) - 0.5) - 1)
+    if r0 > r1:
+        none = np.empty(0, dtype=np.int64)
+        return none, none, none
+
+    ys = (np.arange(r0, r1 + 1, dtype=np.float64) + 0.5)[:, None]
+    sel = (lo <= ys) & (ys < hi)  # never true on a horizontal edge
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        xs = np.where(sel, x1 + (ys - y1) * (x2 - x1) / (y2 - y1), np.nan)
+    xs.sort(axis=1)  # NaN sorts last, leaving crossing pairs up front
+    # each row crosses the closed ring an even number of times, so with
+    # an odd edge count the last slot is always NaN and pairs with nothing
+    n_pairs = xs.shape[1] // 2
+    xa = xs[:, 0:2 * n_pairs:2]
+    xb = xs[:, 1:2 * n_pairs:2]
+    valid = ~np.isnan(xb)
+    rows = np.nonzero(valid)[0] + r0
+    # clamp to just outside the window so infinite crossings from
+    # near-degenerate edges cast cleanly; pairing is unaffected
+    xa = np.minimum(np.maximum(xa[valid], left - 1.0), left + width + 1.0)
+    xb = np.minimum(np.maximum(xb[valid], left - 1.0), left + width + 1.0)
+    c0 = np.maximum(np.ceil(xa - 0.5).astype(np.int64), left)
+    c1 = np.minimum(np.ceil(xb - 0.5).astype(np.int64) - 1, left + width - 1)
+    ok = c0 <= c1
+    return rows[ok], c0[ok], c1[ok]
+
+
+def _reference_union_spans(rings, top, left, height, width):
+    """The spans of every ring in one window, concatenated; spans of two rings may overlap."""
+    return tuple(np.concatenate(part) for part in zip(*(reference_ring_spans(r, top, left, height, width) for r in rings)))
+
+
 def _reference_fill(rings, top, left, height, width):
     """``(top, left, grid)``: the union of ``rings``' pixels in the window, filled over their own extent."""
-    rows, c0, c1 = geometry._union_spans(rings, top, left, height, width)
+    rows, c0, c1 = _reference_union_spans(rings, top, left, height, width)
     if not rows.size:
         return top, left, np.zeros((0, 0), dtype=bool)
     top, left = int(rows.min()), int(c0.min())
@@ -705,7 +752,7 @@ def reference_segmentation_iou(a, b):
     if isinstance(b, geometry.RleMask):
         other, other_area = geometry._rle_columns(b, left, left + w)[top:top + h], b.area
     else:
-        rows, c0, c1 = geometry._union_spans(b.rings, top, left, h, w)
+        rows, c0, c1 = _reference_union_spans(b.rings, top, left, h, w)
         other = geometry._fill_spans(rows - top, c0 - left, c1 - left, h, w)
         other_area = int(np.count_nonzero(_reference_fill(b.rings, *window)[2]))
     inter = int(np.count_nonzero(grid & other))

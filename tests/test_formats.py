@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segtrack import geometry
 from segtrack.errors import (
     ConflictError,
     CorruptRleError,
     CorruptStringError,
     IntegrityError,
     OutOfRangeError,
+    OversizedPolygonError,
     ParseError,
     SchemaError,
 )
@@ -274,6 +276,23 @@ def test_convert_accepts_group_whose_rings_share_no_pixel_center(second):
     (ann,) = labelme_to_coco([parse_labelme(labelme_json("b.png", shapes))]).annotations
     assert isinstance(ann.segmentation, MultiPolygon)
     assert ann.area == 100.0 + Polygon(second).area
+
+
+def test_convert_refuses_a_group_too_large_to_check_for_a_shared_pixel(monkeypatch):
+    tall, small = [(0, 0), (10, 0), (10, 1e12)], [(12, 1), (15, 1), (15, 4)]
+    shapes = [polygon_shape("a", SQUARE_10), polygon_shape("b", tall, 7), polygon_shape("b", small, 7)]
+    # an image of 2**30 pixels holds no more than the cap, so the group is checked, and its rings share no pixel
+    (ann,) = labelme_to_coco([parse_labelme(labelme_json("b.png", shapes[1:], imageHeight=2**16, imageWidth=2**14))]).annotations
+    assert isinstance(ann.segmentation, MultiPolygon)
+    monkeypatch.setattr(geometry, "_spans_many", lambda *args: pytest.fail("cut a group past the cap into spans"))
+    big = parse_labelme(labelme_json("big.png", shapes, imageHeight=10**13, imageWidth=16))
+    with pytest.raises(OversizedPolygonError) as e:
+        labelme_to_coco([parse_labelme(labelme_json("a.png", [polygon_shape("a", SQUARE_PTS)])), big])
+    assert str(e.value) == (
+        "document 'big.png', shape 1: group 7: polygon with bbox [0.0, 0.0, 15.0, 1000000000000.0] is too large for"
+        " an overlap check, which fills at most 1,073,741,824 pixels of a polygon, each within 4,611,686,018,427,387,904"
+        " of the origin"
+    )
 
 
 def test_convert_preserves_shape_count_without_groups():

@@ -48,7 +48,7 @@ from segtrack.geometry import (
     simplify_polygon,
 )
 
-from _oracles import dense_iou, raster_oracle, reference_centroid_and_bbox, reference_segmentation_iou
+from _oracles import dense_iou, raster_oracle, reference_centroid_and_bbox, reference_ring_spans, reference_segmentation_iou
 
 SQUARE = Polygon.from_xy([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = Polygon.from_xy([(0, 0), (4, 0), (0, 3)])
@@ -764,6 +764,21 @@ def test_segmentation_iou_mixed_equals_full_frame_reference(rings, height, width
     assert segmentation_iou(rle, seg) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rings=st.lists(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=7), min_size=2, max_size=3),
+    height=st.integers(1, 12),
+    width=st.integers(1, 12),
+)
+@example(rings=[[(0, 0), (4, 0), (4, 4), (0, 4)], [(4, 0), (8, 0), (8, 4), (4, 4)]], height=8, width=8)  # a shared edge
+@example(rings=[[(0, 0), (4, 0), (4, 4), (0, 4)], [(3.5, 0), (8, 0), (8, 4), (3.5, 4)]], height=8, width=8)  # one column
+@example(rings=[[(-9, -9), (2, -9), (2, 0.5), (-9, 0.5)]] * 2, height=8, width=8)  # one ring twice, above the frame
+@example(rings=[[(0, 0), (6, 0), (6, 6), (0, 6)], [(2, 2), (30, 2), (30, 30)]], height=4, width=4)  # past its far corner
+def test_rings_overlap_equals_a_pixel_count(rings, height, width):
+    covered = sum(raster_oracle(r, height, width).astype(int) for r in rings)
+    assert geometry.rings_overlap([Polygon.from_xy(r) for r in rings], height, width) == bool((covered >= 2).any())
+
+
 def test_segmentation_iou_polygon_pair_matches_dense():
     a = Polygon.from_xy([(0, 0), (10, 0), (10, 10), (0, 10)])
     b = Polygon.from_xy([(5, 0), (15, 0), (15, 10), (5, 10)])
@@ -1003,6 +1018,10 @@ def test_segmentation_ious_of_masks_past_the_bound_go_through_rle_iou():
     tall = RleMask(2**64, 1, (2, 4, 2**64 - 6))  # rows 2..5 of one column
     first_column = Polygon.from_xy([(0, 0), (1, 0), (1, 4), (0, 4)])
     assert segmentation_ious([small, tall, first_column], [(0, 2), (2, 1), (1, 1)]).tolist() == [0.0, 2 / 6, 1.0]
+    rings = ([(3, 0), (4, 0), (4, 4), (3, 4)], [(3, 2), (4, 2), (4, 6), (3, 6)], [(3, -9), (4, -9), (4, -5)])
+    group = MultiPolygon([Polygon.from_xy(r) for r in rings])  # rows 0..5 of column 3 in the frame, the last ring above it
+    for h, w in ((16, 16), (2**26, 2**26), (2**64, 4)):  # the batched kernel, then the fallback
+        assert segmentation_ious([group, column_3(h, w, 2, 6)], [(0, 1), (1, 0)]).tolist() == [4 / 6, 4 / 6]
 
 
 @pytest.mark.parametrize("offset", [0, -7.25, 2**40 + 0.5, 2**53 + 1, 2**60])
@@ -1011,7 +1030,7 @@ def test_spans_many_equal_ring_spans_far_from_the_origin(offset):
     windows = [(t, l, b - t, r - l) for t, l, b, r in map(geometry._fill_box, rings)] + [(0, 0, 6, 6)] * len(rings)
     rows, c0, c1, ring = geometry._spans_many(rings + rings, windows)
     for k, window in enumerate(windows):
-        want = geometry._ring_spans((rings + rings)[k], *window)
+        want = reference_ring_spans((rings + rings)[k], *window)
         got = rows[ring == k], c0[ring == k], c1[ring == k]
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), k
 
