@@ -24,9 +24,11 @@ fills the columns ``c`` with ``xa <= c + 0.5 < xb``.  One kernel,
 an integer window of frame pixel indices (the frame, for :func:`rasterize`).
 
 :func:`segmentation_ious` computes many IoUs in chunked numpy passes.
-It takes each mask's one-runs once, from its counts, and each polygon's
-fill spans once, in the mask's frame or in its own fill box against a
-polygon, with no vertex shifted.  Per pair it counts, in exact ints,
+It reads every mask's one-runs, area and extent from one run table of
+their counts, :func:`_run_table` (which also gives :func:`_derive_many`
+a batch's centroids), and takes each polygon's fill spans once, in the
+mask's frame or in its own fill box against a polygon, with no vertex
+shifted.  Per pair it counts, in exact ints,
 the pixels both operands cover where their extents meet; a pair whose
 extents do not meet reads 0.0 without a fill.  So polygon pixels outside
 a mask's frame do not count, and every value equals a comparison of the
@@ -214,10 +216,11 @@ class RleMask:
     ``counts`` is the whole state.  :attr:`runs`, :attr:`area`,
     :attr:`centroid` and :attr:`bbox` are derived from it on first use
     and kept with the mask, so each is computed once per mask; they take
-    no part in ``==`` or ``hash``.  A batch that builds many masks and
-    already knows all four (``synth.disc_masks``) hands them over through
-    :meth:`_from_batch` instead.  Zero-length runs are legal.  Counts are
-    stored as ints; a float or numpy count must have an integral value.
+    no part in ``==`` or ``hash``.  This is the exact-int path of one
+    mask: a batch that builds many masks (``synth.disc_masks``) derives
+    their area, centroid and bbox in one numpy pass, :func:`_derive_many`.
+    Zero-length runs are legal.  Counts are stored as ints; a float or
+    numpy count must have an integral value.
     """
 
     height: int
@@ -243,28 +246,6 @@ class RleMask:
                 f"counts sum {total} != {self.height}x{self.width}"
                 f" = {self.height * self.width}"
             )
-
-    @classmethod
-    def _from_batch(
-        cls,
-        height: int,
-        width: int,
-        counts: tuple[int, ...],
-        runs: tuple[list[int], list[int]],
-        area: int,
-        centroid: Point | None,
-        bbox: BoundingBox,
-    ) -> RleMask:
-        """A checked mask whose ``runs``, ``area``, ``centroid`` and ``bbox`` are the given values.
-
-        They must equal what the mask would derive from its counts (an
-        empty mask has no runs, centroid None and an all-zero bbox).
-        They go where ``cached_property`` itself keeps them, in the
-        instance ``__dict__``, so nothing derives them again.
-        """
-        mask = cls(height, width, counts)
-        mask.__dict__.update(runs=runs, area=area, _centroid_and_bbox=(centroid, bbox))
-        return mask
 
     @cached_property
     def runs(self) -> tuple[list[int], list[int]]:
@@ -330,6 +311,32 @@ class RleMask:
     def bbox(self) -> BoundingBox:
         """Tight pixel bounds of the set pixels; all zeros for an empty mask."""
         return self._centroid_and_bbox[1]
+
+
+def _derive_many(masks: Sequence[RleMask]) -> None:
+    """Keep with each mask the ``area`` and ``_centroid_and_bbox`` it would derive, from one :func:`_run_table` pass.
+
+    The centroid comes from int64 sums of the pixels' column and row
+    indices, run by run in the terms of :attr:`RleMask._centroid_and_bbox`
+    (rows ``r..`` of column ``c``, ``k`` full columns, rows ``..tail - 1``
+    of column ``last``).  A mask whose sums may not fit derives its own
+    on first use.  The values go where ``cached_property`` keeps them.
+    """
+    masks = [r for r in masks if r.height * r.width * max(r.height, r.width) < 2**63]  # so every sum, and term, fits int64
+    start, end, height, offset, count, area, top, bottom, left, right = _run_table(masks)
+    h = height[np.repeat(np.arange(len(masks)), count)]
+    (c, row), last = np.divmod(start, h), (end - 1) // h
+    m = np.minimum(end - start, h - row)  # rows of the run in column c
+    k = np.maximum(last - c - 1, 0)
+    tail = np.where(last > c, end - last * h, 0)
+    col_sum = c * m + h * (k * c + k * (k + 1) // 2) + last * tail
+    row_sum = m * row + m * (m - 1) // 2 + k * (h * (h - 1) // 2) + tail * (tail - 1) // 2
+    running = np.zeros((2, len(c) + 1), dtype=np.int64)  # may wrap across masks, but each mask's difference is exact
+    np.cumsum((col_sum, row_sum), axis=1, out=running[:, 1:])
+    sums = running[:, offset + count] - running[:, offset]
+    boxes = np.stack((left, top, right + 1 - left, bottom + 1 - top), axis=1).astype(np.float64)  # all zeros when empty
+    for r, a, cs, rs, box in zip(masks, area.tolist(), *sums.tolist(), map(BoundingBox._make, boxes.tolist())):
+        r.__dict__.update(area=a, _centroid_and_bbox=(Point(cs / a + 0.5, rs / a + 0.5) if a else None, box))
 
 
 Segmentation = Union[Polygon, MultiPolygon, RleMask]
@@ -993,7 +1000,8 @@ def _spans_many(rings: Sequence[Polygon], windows: Sequence[tuple[int, int, int,
     ``r0`` a ring can cross as ``np.arange(r0, ..., dtype=np.float64) +
     0.5`` does, so ``y = r + 0.5`` exactly within 2^53 of the origin.
     Rings with the same vertex count, and close row counts, share numpy
-    passes over chunks of at most ``_IOU_BUDGET`` crossing slots.
+    passes over chunks of at most ``_IOU_BUDGET`` crossing slots; a ring
+    with more rows than that takes blocks of them over several passes.
     """
     by_size: dict[int, list[int]] = {}
     for k, ring in enumerate(rings):
@@ -1010,16 +1018,24 @@ def _spans_many(rings: Sequence[Polygon], windows: Sequence[tuple[int, int, int,
         count = np.maximum(np.minimum(win[:, 0] + win[:, 2] - 1, y_max - 1) + 1 - first, 0)
         by_count = np.argsort(count, kind="stable")  # so a pass pads few rows
         members, pts, win, first, count = np.asarray(members)[by_count], pts[by_count], win[by_count], first[by_count], count[by_count]
-        for lo, hi in _chunks((count * n_edges).tolist(), _IOU_BUDGET):
-            x1, y1 = pts[lo:hi, None, :, 0], pts[lo:hi, None, :, 1]  # (ring, 1, edge)
-            nxt = np.roll(pts[lo:hi], -1, axis=1)
+        # a ring of more rows than a pass holds is cut into blocks: block b holds rows_in[b] rows of ring of[b] from its row skip[b]
+        block = max(1, _IOU_BUDGET // n_edges)
+        blocks = -(-count // block)
+        of = np.repeat(np.arange(len(members)), blocks)
+        skip = _ranges(np.zeros(len(members), dtype=np.int64), blocks, block)
+        rows_in = np.minimum(count[of] - skip, block)
+        for lo, hi in _chunks((rows_in * n_edges).tolist(), _IOU_BUDGET):
+            g = of[lo:hi]
+            x1, y1 = pts[g, None, :, 0], pts[g, None, :, 1]  # (block, 1, edge)
+            nxt = np.roll(pts[g], -1, axis=1)
             x2, y2 = nxt[:, None, :, 0], nxt[:, None, :, 1]
-            n, r0 = count[lo:hi], first[lo:hi]
-            i = np.arange(int(n.max()))  # row i of each ring, past its count on some
+            n, r0 = rows_in[lo:hi], first[g]
+            j = np.arange(int(n.max()))  # row j of each block, past its count on some
+            i = skip[lo:hi, None] + j  # the row's index in its ring
             # np.arange(r0, r1 + 1, dtype=float64) holds r0 + i * delta, with delta = float(r0 + 1) - float(r0)
             start = r0.astype(np.float64)[:, None]
-            ys = (start + i * ((r0 + 1).astype(np.float64)[:, None] - start) + 0.5)[..., None]  # (ring, row, 1)
-            sel = (np.minimum(y1, y2) <= ys) & (ys < np.maximum(y1, y2)) & (i < n[:, None])[..., None]
+            ys = (start + i * ((r0 + 1).astype(np.float64)[:, None] - start) + 0.5)[..., None]  # (block, row, 1)
+            sel = (np.minimum(y1, y2) <= ys) & (ys < np.maximum(y1, y2)) & (j < n[:, None])[..., None]
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 xs = ys - y1  # x1 + (ys - y1) * (x2 - x1) / (y2 - y1), one operation at a time
                 xs *= x2 - x1
@@ -1034,16 +1050,16 @@ def _spans_many(rings: Sequence[Polygon], windows: Sequence[tuple[int, int, int,
             xa = xs[:, 0:2 * n_pairs:2]
             xb = xs[:, 1:2 * n_pairs:2]
             valid = ~np.isnan(xb)
-            ring, row = np.divmod(np.nonzero(valid)[0], len(i))
-            left = win[lo:hi, 1][ring]
-            right = left + win[lo:hi, 3][ring]
+            at, row = np.divmod(np.nonzero(valid)[0], len(j))
+            ring, row = g[at], row + skip[lo:hi][at]
+            left, right = win[ring, 1], win[ring, 1] + win[ring, 3]
             # clamp to just outside the window, so infinite crossings of near-degenerate edges cast cleanly
             xa = np.minimum(np.maximum(xa[valid], left - 1.0), right + 1.0)
             xb = np.minimum(np.maximum(xb[valid], left - 1.0), right + 1.0)
             c0 = np.maximum(np.ceil(xa - 0.5).astype(np.int64), left)
             c1 = np.minimum(np.ceil(xb - 0.5).astype(np.int64) - 1, right - 1)
             ok = c0 <= c1
-            for column, values in zip(parts, ((r0[ring] + row)[ok], c0[ok], c1[ok], members[lo:hi][ring[ok]])):
+            for column, values in zip(parts, ((first[ring] + row)[ok], c0[ok], c1[ok], members[ring[ok]])):
                 column.append(values)
     order = np.argsort(np.concatenate(parts[3]), kind="stable")
     out = []
@@ -1068,60 +1084,75 @@ def _grid_runs(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[0::2], cols[0::2], cols[1::2] - 1
 
 
+def _extents(owner: np.ndarray, n: int, top, bottom, left, right, length) -> tuple[np.ndarray, ...]:
+    """``(offset, count, area, top, bottom, left, right)`` of ``n`` operands, from items grouped by ascending ``owner``.
+
+    Item ``j`` belongs to operand ``owner[j]`` and covers ``length[j]``
+    pixels in rows ``top[j]..bottom[j]`` and columns ``left[j]..right[j]``.
+    Operand ``k`` has ``count[k]`` items from ``offset[k]``, ``area[k]``
+    pixels and the inclusive extent of its items, empty (``0..-1``) when
+    it has none.
+    """
+    count = np.bincount(owner, minlength=n)
+    out = [np.full(n, fill, dtype=np.int64) for fill in (0, 0, -1, 0, -1)]  # area, top, bottom, left, right
+    offset = np.cumsum(count) - count
+    has = np.flatnonzero(count)
+    if has.size:
+        for values, ufunc, items in zip(out, (np.add, np.minimum, np.maximum, np.minimum, np.maximum), (length, top, bottom, left, right)):
+            values[has] = ufunc.reduceat(items, offset[has])
+    return (offset, count, *out)
+
+
+def _run_table(masks: Sequence[RleMask]) -> tuple[np.ndarray, ...]:
+    """``(start, end, height, offset, count, area, top, bottom, left, right)``: every mask's one-runs and extent, in one numpy pass.
+
+    Mask ``k``'s non-empty one-runs are ``start[j]..end[j]`` for the
+    ``count[k]`` values of ``j`` from ``offset[k]``, as :attr:`RleMask.runs`
+    holds them; its pixel count and extent are :func:`_extents`'s, where a
+    run past the end of its column takes every row.  Each mask must have
+    fewer than 2^63 pixels, so its counts and their sums fit in int64.
+    """
+    # one-run k of a mask ends at the sum of its first 2k + 2 counts
+    # (the sums run on across masks and may wrap, but each mask's differences are exact)
+    counts_of = [r.counts for r in masks]
+    lengths = np.fromiter(map(len, counts_of), np.int64, len(masks))
+    counts = np.fromiter(itertools.chain.from_iterable(counts_of), np.int64, int(lengths.sum()))
+    sums = np.cumsum(counts)
+    head = np.cumsum(lengths) - lengths  # of each mask's counts
+    n_runs = lengths // 2
+    end_at = _ranges(head + 1, n_runs, 2)
+    before = np.repeat(sums[head] - counts[head], n_runs) if len(head) else head
+    del counts
+    start, end = sums[end_at - 1], sums[end_at]
+    del sums, end_at
+    start -= before
+    end -= before
+    del before
+    keep = start < end  # zero-length runs take no part
+    start, end = start[keep], end[keep]
+    owner = np.repeat(np.arange(len(masks)), n_runs)[keep]
+    height = np.fromiter((r.height for r in masks), np.int64, len(masks))
+    h = height[owner]
+    (col, row), length = np.divmod(start, h), end - start
+    one_column = row + length <= h
+    top, bottom = np.where(one_column, row, 0), np.where(one_column, row + length, h) - 1
+    return (start, end, height, *_extents(owner, len(masks), top, bottom, col, (end - 1) // h, length))
+
+
 class _Operands:
     """Every distinct operand of a batch of IoUs once: masks as one-runs, polygons as fill spans in a window.
 
     Operand ``k < n_masks`` is a mask, the rest are fills.  Each has the
     inclusive pixel extent ``top..bottom``, ``left..right`` (empty when
     ``bottom < top``), its pixel count ``area`` and ``count`` runs or
-    spans from ``offset``.  The runs of a
-    mask and the spans of a fill are disjoint and ascend, row by row for
-    spans.
+    spans from ``offset``.  The masks are read from :func:`_run_table`.
+    The runs of a mask and the spans of a fill are disjoint and ascend,
+    row by row for spans.
     """
 
-    def __init__(self, masks: Sequence[RleMask], heights: np.ndarray, fills: Sequence[tuple[Segmentation, tuple[int, int, int, int]]]):
+    def __init__(self, masks: Sequence[RleMask], fills: Sequence[tuple[Segmentation, tuple[int, int, int, int]]]):
         self.n_masks = len(masks)
-        n = len(masks) + len(fills)
-        self.top, self.left = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        self.bottom, self.right = np.full(n, -1, dtype=np.int64), np.full(n, -1, dtype=np.int64)
-        self.area, self.count = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        self.offset = np.zeros(n, dtype=np.int64)
-
-        # one-runs from the counts: one-run k of a mask ends at the sum of its first 2k + 2 counts
-        # (the sums run on across masks and may wrap, but each mask's differences are exact)
-        counts_of = [r.counts for r in masks]
-        lengths = np.fromiter(map(len, counts_of), np.int64, len(masks))
-        counts = np.fromiter(itertools.chain.from_iterable(counts_of), np.int64, int(lengths.sum()))
-        sums = np.cumsum(counts)
-        head = np.cumsum(lengths) - lengths  # of each mask's counts
-        n_runs = lengths // 2
-        end_at = _ranges(head + 1, n_runs, 2)
-        before = np.repeat(sums[head] - counts[head], n_runs) if len(head) else head
-        del counts
-        start, end = sums[end_at - 1], sums[end_at]
-        del sums, end_at
-        start -= before
-        end -= before
-        del before
-        keep = start < end  # zero-length runs take no part
-        self.run_start, self.run_end = start[keep], end[keep]
-        del start, end
-        self.height = heights
-        # a mask's extent: the columns of its first and last runs, and the rows of all of them
-        # (a run past the end of its column takes every row)
-        run_mask = np.repeat(np.arange(len(masks)), n_runs)[keep]
-        self.count[:len(masks)] = np.bincount(run_mask, minlength=len(masks))
-        self.offset[:len(masks)] = np.cumsum(self.count[:len(masks)]) - self.count[:len(masks)]
-        has = np.flatnonzero(self.count[:len(masks)])
-        first, last = self.offset[has], self.offset[has] + self.count[has] - 1
-        if has.size:
-            h = heights[run_mask]
-            row, length = self.run_start % h, self.run_end - self.run_start
-            one_column = row + length <= h
-            self.top[has] = np.minimum.reduceat(np.where(one_column, row, 0), first)
-            self.bottom[has] = np.maximum.reduceat(np.where(one_column, row + length, h) - 1, first)
-            self.left[has], self.right[has] = self.run_start[first] // heights[has], (self.run_end[last] - 1) // heights[has]
-            self.area[has] = np.add.reduceat(length, first)
+        self.run_start, self.run_end, self.height, *mask_extents = _run_table(masks)
 
         # fill spans, each ring in its operand's window; the rings of one instance may overlap,
         # so theirs are taken again from the union of their pixels
@@ -1144,15 +1175,8 @@ class _Operands:
             order = np.argsort(fill, kind="stable")
             rows, c0, c1, fill = rows[order], c0[order], c1[order], fill[order]
         self.span_row, self.span_c0, self.span_c1 = rows, c0, c1
-        ids = np.arange(len(masks), n)
-        self.count[ids] = np.bincount(fill, minlength=len(fills))
-        self.offset[ids] = np.cumsum(self.count[ids]) - self.count[ids]
-        has = ids[self.count[ids] > 0]
-        if has.size:
-            at = self.offset[has]
-            self.top[has], self.bottom[has] = np.minimum.reduceat(rows, at), np.maximum.reduceat(rows, at)
-            self.left[has], self.right[has] = np.minimum.reduceat(c0, at), np.maximum.reduceat(c1, at)
-            self.area[has] = np.add.reduceat(c1 - c0 + 1, at)
+        fill_extents = _extents(fill, len(fills), rows, rows, c0, c1, c1 - c0 + 1)
+        self.offset, self.count, self.area, self.top, self.bottom, self.left, self.right = map(np.concatenate, zip(mask_extents, fill_extents))
 
     def intervals(self, ops: np.ndarray, top, left, height, width, base, by_column) -> tuple[np.ndarray, ...]:
         """``(start, end, pair)``: operand ``ops[p]``'s pixels in window ``p`` as half-open key intervals, by pair.
@@ -1317,8 +1341,7 @@ def segmentation_ious(
         else:
             top, left, bottom, right = _fill_box(segs[s])
             fills.append((segs[s], (top, left, bottom - top, right - left)))
-    heights = np.array([h if h * w < _MASK_BOUND else 0 for h, w in sizes] + [0], dtype=np.int64)[frame[mask_slots]]
-    table = _Operands([segs[s] for s in mask_slots.tolist()], heights, fills)
+    table = _Operands([segs[s] for s in mask_slots.tolist()], fills)
 
     # one window per pair where the operands' extents meet; a pair's intersection is
     # the part of its first operand's intervals that its second operand's cover

@@ -2,10 +2,11 @@
 
 Animals are discs on a bounded random walk; masks are exact rasterized
 discs, so every IoU the evaluators compute has unambiguous geometry.
-Discs are rasterized in numpy batches (:func:`disc_masks`), each mask
-handed over with its runs, area, centroid and bbox: a scenario builds
-all its discs in one call once the trajectories are drawn, and the
-perturbation stage makes every random draw before it builds any disc.
+Discs are rasterized in numpy batches (:func:`disc_masks`), whose masks
+take their area, centroid and bbox from one run-table pass: a scenario
+builds all its discs in one call once the trajectories are drawn, and
+the perturbation stage makes every random draw before it builds any
+disc, then checks every jittered disc against its truth in one batch.
 
 The perturbation stage drops detections, adds spurious ones, swaps
 identity labels, and jitters centroids while logging every injected
@@ -25,8 +26,15 @@ import numpy as np
 from . import geometry
 from .errors import ConfigError
 from .formats import CocoAnnotation, CocoCategory, CocoDataset, CocoImage
-from .geometry import BoundingBox, Point, RleMask
+from .geometry import BoundingBox, RleMask
 from .tracking import DetectionRecord, Track, TrackState
+
+
+def _require_finite(config, *fields: str) -> None:
+    """Refuse a config whose named fields are not all finite, naming the first that is not."""
+    for name in fields:
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(config, name)}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +48,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "body_radius", "speed_max", "min_separation")
         if self.n_animals < 1 or self.n_frames < 1:
             raise ConfigError("n_animals and n_frames must be positive")
         if self.body_radius < 1.0 or self.speed_max <= 0:
@@ -49,6 +58,8 @@ class ScenarioConfig:
         w, h = self.arena
         if w <= 2 * self.body_radius + 1 or h <= 2 * self.body_radius + 1:
             raise ConfigError(f"arena {self.arena} cannot hold a disc of radius {self.body_radius}")
+        if w * h >= 2**63:
+            raise ConfigError(f"arena {self.arena} has {w * h} pixels; at most 2^63 - 1 are supported")
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,7 @@ class PerturbationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self, "p_fp", "centroid_noise")
         if not 0.0 <= self.p_fn < 1.0:
             raise ConfigError(f"p_fn must be in [0, 1), got {self.p_fn}")
         if self.p_fp < 0:
@@ -103,9 +115,9 @@ def disc_masks(cxs: Sequence[float], cys: Sequence[float], radius: float, height
     ``_DISC_CHUNK``, over discs x columns: each column's row span comes
     from the same float steps a per-column loop takes, and runs that
     touch across a full-height column merge, so the counts are
-    canonical.  Each mask's runs, and its area, centroid and bbox from
-    integer sums over its columns, are handed over with it, so no mask
-    derives them again.
+    canonical.  The batch builds counts only; each mask's area, centroid
+    and bbox come from one :func:`geometry._derive_many` pass over them,
+    so no mask derives them again.
     """
     cxs = np.asarray(cxs, dtype=float)
     cys = np.asarray(cys, dtype=float)
@@ -142,24 +154,6 @@ def _disc_chunk(cxs: np.ndarray, cys: np.ndarray, radius: float, height: int, wi
     s = col * height + r0  # flat start and end of each column's run
     e = s + n
 
-    # per-disc sums over its columns; zero for a disc that kept none
-    kept = np.bincount(disc, minlength=k)
-    has = kept > 0
-    first = (np.cumsum(kept) - kept)[has]
-
-    def per_disc(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(k, dtype=np.int64)
-        out[has] = ufunc.reduceat(values, first)
-        return out
-
-    area = per_disc(np.add, n)
-    col_sum = per_disc(np.add, col * n)  # sum of the pixels' column indices
-    row_sum = per_disc(np.add, (2 * r0 + n - 1) * n // 2)  # and of their row indices
-    left, top = per_disc(np.minimum, col), per_disc(np.minimum, r0)
-    right, bottom = per_disc(np.maximum, col + 1), per_disc(np.maximum, r0 + n)
-    boxes = np.stack([left, top, right - left, bottom - top], axis=1).astype(float)
-    last_end = per_disc(np.maximum, e)
-
     # a run touching the previous one across a column boundary (only
     # possible when a column spans the full height) extends it, so zero
     # and one runs keep alternating
@@ -173,6 +167,7 @@ def _disc_chunk(cxs: np.ndarray, cys: np.ndarray, radius: float, height: int, wi
     prev_end[np.flatnonzero(run_disc[1:] != run_disc[:-1]) + 1] = 0  # each disc's first run follows zeros
     run_bounds = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(run_disc, minlength=k), out=run_bounds[1:])
+    last_end = np.where(run_bounds[1:] > run_bounds[:-1], np.append(0, run_end)[run_bounds[1:]], 0)  # 0 with no run
 
     # every disc's counts in one array: a (zero, one) pair per run, then a
     # slot for the trailing zeros, kept only when there are any
@@ -183,30 +178,9 @@ def _disc_chunk(cxs: np.ndarray, cys: np.ndarray, radius: float, height: int, wi
     counts[pair_at + 1] = run_end - run_start
     counts[tail_at] = hw - last_end
     count_lo, count_hi = 2 * run_bounds[:-1] + np.arange(k), tail_at + (last_end < hw)
-
-    flat, starts, ends = counts.tolist(), run_start.tolist(), run_end.tolist()
-    masks = []
-    for lo, hi, run_lo, run_hi, a, cs, rs, box in zip(
-        count_lo.tolist(),
-        count_hi.tolist(),
-        run_bounds[:-1].tolist(),
-        run_bounds[1:].tolist(),
-        area.tolist(),
-        col_sum.tolist(),
-        row_sum.tolist(),
-        boxes.tolist(),
-    ):
-        masks.append(
-            RleMask._from_batch(
-                height,
-                width,
-                tuple(flat[lo:hi]),
-                (starts[run_lo:run_hi], ends[run_lo:run_hi]),
-                a,
-                Point(cs / a + 0.5, rs / a + 0.5) if a else None,
-                BoundingBox(*box),
-            )
-        )
+    flat = counts.tolist()
+    masks = [RleMask(height, width, tuple(flat[lo:hi])) for lo, hi in zip(count_lo.tolist(), count_hi.tolist())]
+    geometry._derive_many(masks)
     return masks
 
 
@@ -423,23 +397,23 @@ def perturb(
                         log.fp_events.append((frame, label))
                         break
 
-    # pass 2: every planned disc in one batch.  A jittered disc must keep
-    # IoU > 0.5 with its true mask; a rejected one halves its offset, one
-    # disc at a time, until it does or the offset vanishes.
+    # pass 2: every planned disc in one batch, and every jittered disc
+    # checked against its true mask in one batch.  It must keep IoU > 0.5;
+    # a rejected one halves its offset, one disc at a time, until it does
+    # or the offset vanishes.
     discs = iter(disc_masks([x for x, _ in centers], [y for _, y in centers], body_radius, height, width))
-    preds: list[DetectionRecord] = []
-    for frame, label, truth, dx, dy in plan:
-        if truth is None:
-            seg = next(discs)
-        elif not _moved(dx, dy):
-            seg = truth.segmentation
-        else:
-            seg = next(discs)
-            while geometry.rle_iou(seg, truth.segmentation) <= 0.5:
-                dx, dy = dx * 0.5, dy * 0.5
-                if not _moved(dx, dy):
-                    seg = truth.segmentation
-                    break
-                seg, _ = disc_mask(truth.centroid.x + dx, truth.centroid.y + dy, body_radius, height, width)
-        preds.append(DetectionRecord(frame=frame, label=label, score=1.0, segmentation=seg, bbox=seg.bbox))
+    segs = [next(discs) if truth is None or _moved(dx, dy) else truth.segmentation for _, _, truth, dx, dy in plan]
+    jittered = [k for k, (_, _, truth, dx, dy) in enumerate(plan) if truth is not None and _moved(dx, dy)]
+    checked = [segs[k] for k in jittered] + [plan[k][2].segmentation for k in jittered]
+    ious = geometry.segmentation_ious(checked, [(j, len(jittered) + j) for j in range(len(jittered))])
+    for k, iou in zip(jittered, ious.tolist()):
+        _, _, truth, dx, dy = plan[k]
+        while iou <= 0.5:
+            dx, dy = dx * 0.5, dy * 0.5
+            if not _moved(dx, dy):
+                segs[k] = truth.segmentation
+                break
+            segs[k], _ = disc_mask(truth.centroid.x + dx, truth.centroid.y + dy, body_radius, height, width)
+            iou = geometry.segmentation_iou(segs[k], truth.segmentation)
+    preds = [DetectionRecord(frame=frame, label=label, score=1.0, segmentation=seg, bbox=seg.bbox) for (frame, label, *_), seg in zip(plan, segs)]
     return preds, log

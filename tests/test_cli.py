@@ -207,6 +207,27 @@ def test_synth_refused_target_writes_nothing(tmp_path):
     assert (out / "preds.jsonl").read_text() == "old"
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--radius", "nan"], "body_radius"),
+    (["--radius", "inf"], "body_radius"),
+    (["--speed", "nan"], "speed_max"),
+    (["--speed", "inf"], "speed_max"),
+    (["--min-separation", "nan"], "min_separation"),
+    (["--noise", "nan"], "centroid_noise"),
+    (["--noise", "inf"], "centroid_noise"),
+    (["--p-fp", "nan"], "p_fp"),
+    (["--p-fp", "inf"], "p_fp"),
+    (["--width", 2**32, "--height", 2**32], "arena"),
+    (["--width", 2**32, "--height", 2**31], "arena"),  # exactly 2^63 pixels
+])
+def test_synth_refuses_a_non_finite_or_oversized_config_naming_the_field(tmp_path, capsys, flags, field):
+    out = tmp_path / "scen"
+    assert run(["synth", "--out-dir", out, "--animals", 2, "--frames", 5] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1 and "error:" not in err[1:], err
+    assert not out.exists()
+
+
 def test_analyze_refused_target_writes_nothing(tmp_path):
     tracks_csv = tmp_path / "tracks.csv"
     assert run(["track", "--pred", _make_scenario(tmp_path) / "preds.jsonl", "--out", tracks_csv]) == 0

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -651,6 +652,29 @@ def test_rle_centroid_and_bbox_equal_per_column_oracle(r):
     assert r._centroid_and_bbox == reference_centroid_and_bbox(r)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_rle_masks(), max_size=8))
+@example([])
+@example([RleMask(4, 3, (2, 9, 1)), RleMask(3, 4, (3, 6, 3)), RleMask(3, 3, (9,)), RleMask(1, 7, (1, 2, 0, 3, 1))])
+@example([RleMask(1, 3037000499, (0, 3037000499)), RleMask(3, 2**30, (1, 3 * 2**30 - 2, 1))])  # sums just under 2^63
+@example([RleMask(2**20, 2**21, (5, 2**41 - 10, 5)), RleMask(2**21, 2**21, (5, 2**42 - 10, 5))])  # sums that fit, and a frame of h * w * max(h, w) = 2^63
+def test_derive_many_equals_each_mask_alone(masks):
+    fresh = [RleMask(r.height, r.width, r.counts) for r in masks]
+    start, end, height, offset, count, area, top, bottom, left, right = geometry._run_table(masks)
+    geometry._derive_many(masks)
+    for k, (r, f) in enumerate(zip(masks, fresh)):
+        runs = start[offset[k]:offset[k] + count[k]].tolist(), end[offset[k]:offset[k] + count[k]].tolist()
+        assert (runs, height[k], area[k]) == (f.runs, f.height, f.area)
+        if f.area:
+            x, y, w, h = f.bbox
+            assert (left[k], top[k], right[k], bottom[k]) == (x, y, x + w - 1, y + h - 1)
+        else:
+            assert bottom[k] < top[k] and right[k] < left[k]
+        handed_over = r.height * r.width * max(r.height, r.width) < 2**63
+        assert ({"area", "_centroid_and_bbox"} <= r.__dict__.keys()) == handed_over and "runs" not in r.__dict__
+        assert type(r.area) is int and (r.area, r._centroid_and_bbox) == (f.area, f._centroid_and_bbox)
+
+
 def test_rle_centroid_of_a_run_across_a_trillion_columns_is_one_step():
     # a fresh interpreter under a timeout, so a per-column walk fails instead of hanging the suite
     code = (
@@ -1026,13 +1050,31 @@ def test_segmentation_ious_of_masks_past_the_bound_go_through_rle_iou():
 
 @pytest.mark.parametrize("offset", [0, -7.25, 2**40 + 0.5, 2**53 + 1, 2**60])
 def test_spans_many_equal_ring_spans_far_from_the_origin(offset):
-    rings = [Polygon.from_xy([(x + offset, y - offset) for x, y in ring]) for ring in (TRI_A, TRI_B, SQUARE_10, DIAMOND)]
-    windows = [(t, l, b - t, r - l) for t, l, b, r in map(geometry._fill_box, rings)] + [(0, 0, 6, 6)] * len(rings)
-    rows, c0, c1, ring = geometry._spans_many(rings + rings, windows)
+    # the last two rings have rows x edges past _IOU_BUDGET: the diamond takes its rows in 5 blocks, the square in 3
+    tall = [[(x, 1000 * y) for x, y in ring] for ring in (DIAMOND, SQUARE_10)]
+    rings = [Polygon.from_xy([(x + offset, y - offset) for x, y in ring]) for ring in (TRI_A, TRI_B, SQUARE_10, DIAMOND, *tall)]
+    boxes = [(t, l, b - t, r - l) for t, l, b, r in map(geometry._fill_box, rings)]
+    windows = boxes + [(0, 0, 6, 6)] * len(rings) + [(t + 4000, l, 5000, w) for t, l, _, w in boxes[4:]]  # starting inside a block
+    rings = rings + rings + rings[4:]
+    rows, c0, c1, ring = geometry._spans_many(rings, windows)
+    assert offset or len(rows) > 20000
     for k, window in enumerate(windows):
-        want = reference_ring_spans((rings + rings)[k], *window)
+        want = reference_ring_spans(rings[k], *window)
         got = rows[ring == k], c0[ring == k], c1[ring == k]
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), k
+
+
+def test_spans_many_of_rings_over_a_million_rows_hold_little_memory():
+    # two slivers over every row of a 2^20 x 1 frame, past every pixel center: one pass each would hold ~150 MB
+    slivers = [Polygon.from_xy([(x, 0), (x + 0.1, 0), (x + 0.05, 2**20)]) for x in (0.1, 0.6)]
+    tracemalloc.start()
+    try:
+        spans = geometry._spans_many(slivers, [(0, 0, 2**20, 1)] * 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(v) for v in spans] == [0] * 4
+    assert peak < 16 * 2**20, peak
 
 
 SQUARE_10 = [(0.5, 0.5), (10.5, 0.5), (10.5, 10.5), (0.5, 10.5)]

@@ -70,13 +70,14 @@ def test_disc_rle_is_canonical():
 
 
 def _assert_batch_equals_oracle(cxs, cys, r, h, w):
-    """``disc_masks`` gives the oracle's counts, and hands over exactly what a fresh mask derives."""
+    """``disc_masks`` gives the oracle's counts, and hands over the area, centroid and bbox a fresh mask derives."""
     masks = disc_masks(cxs, cys, r, h, w)
     assert len(masks) == len(cxs)
     for mask, cx, cy in zip(masks, cxs, cys):
         want, want_bbox = reference_disc_mask(cx, cy, r, h, w)
         assert mask.counts == want.counts
-        assert {"runs", "area", "_centroid_and_bbox"} <= mask.__dict__.keys()  # handed over, not derived
+        assert {"area", "_centroid_and_bbox"} <= mask.__dict__.keys()  # handed over, not derived
+        assert "runs" not in mask.__dict__
         fresh = RleMask(h, w, want.counts)
         assert mask.runs == fresh.runs
         assert type(mask.area) is int and mask.area == fresh.area
@@ -132,6 +133,16 @@ def test_disc_masks_corpus_across_chunks():
     assert min(seen.values()) >= 100, seen
 
 
+def test_disc_masks_of_a_wide_frame_hand_over_no_wrapped_centroid():
+    # the column-index sum of this disc passes 2^63, so the batch leaves its
+    # centroid to the mask, which derives it in exact ints
+    w, h, r = 2**40, 2**20, 500000
+    (m,) = disc_masks([w - r - 2.0], [h / 2], r, h, w)
+    fresh = RleMask(h, w, m.counts)
+    assert (m.area, m.centroid, m.bbox) == (fresh.area, fresh.centroid, fresh.bbox)
+    assert abs(m.centroid.x - (w - r - 2.0)) < 1.0
+
+
 def test_disc_masks_reject_bad_centers():
     with pytest.raises(ValueError):
         disc_masks([1.0, 2.0], [1.0], 2.0, 8, 8)
@@ -153,14 +164,14 @@ HALVING_SHA256 = {
 
 def test_perturb_halving_path_bytes_pinned(tmp_path, monkeypatch):
     rejected = []
-    iou = geometry.rle_iou
+    ious = geometry.segmentation_ious
 
-    def counting(a, b, crowd=False):
-        value = iou(a, b, crowd)
-        rejected.append(value <= 0.5)
-        return value
+    def counting(segs, pairs, refused=None):  # the batched check, and each halving's one-pair re-check
+        values = ious(segs, pairs, refused)
+        rejected.extend(values <= 0.5)
+        return values
 
-    monkeypatch.setattr(geometry, "rle_iou", counting)
+    monkeypatch.setattr(geometry, "segmentation_ious", counting)
     out = tmp_path / "scen"
     assert cli.main(["synth", "--out-dir", str(out)] + [str(a) for a in HALVING_ARGS]) == 0
     assert sum(rejected) == 112
